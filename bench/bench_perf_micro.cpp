@@ -83,43 +83,6 @@ void BM_RevisedLp1(benchmark::State& state) {
   rounding::Lp1Options opt;
   opt.solver = rounding::Lp1Options::Solver::Simplex;
   opt.engine = lp::SimplexEngine::Revised;
-  std::int64_t pivots = 0, p1 = 0;
-  for (auto _ : state) {
-    const rounding::Lp1Fractional frac =
-        rounding::solve_lp1(inst, jobs, 0.5, opt);
-    pivots += frac.simplex_iterations;
-    p1 += frac.simplex_phase1_iterations;
-    benchmark::DoNotOptimize(frac.t);
-  }
-  const auto iters = static_cast<double>(state.iterations());
-  state.counters["pivots"] =
-      benchmark::Counter(static_cast<double>(pivots) / iters);
-  state.counters["p1_pivots"] =
-      benchmark::Counter(static_cast<double>(p1) / iters);
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_RevisedLp1)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(2048)
-    ->Arg(4096)
-    ->Complexity();
-
-// The pricing-rule ablation on the revised engine: same LP1 instances, the
-// entering-variable rule forced per benchmark. Beyond "pivots"/"p1_pivots",
-// "ftran_fill" reports the average fraction of the m rows an FTRAN result
-// actually occupied — the dual sparse eta storage only pays off while this
-// stays well below 1, so a storage regression is visible here even when
-// pivot counts hold steady.
-void revised_lp1_pricing(benchmark::State& state, lp::PricingRule rule) {
-  const int n = static_cast<int>(state.range(0));
-  core::Instance inst = bench_instance(n, 8, 11);
-  const auto jobs = all_jobs(n);
-  rounding::Lp1Options opt;
-  opt.solver = rounding::Lp1Options::Solver::Simplex;
-  opt.engine = lp::SimplexEngine::Revised;
-  opt.pricing = rule;
   std::int64_t pivots = 0, p1 = 0, ftran_calls = 0, ftran_nnz = 0;
   for (auto _ : state) {
     const rounding::Lp1Fractional frac =
@@ -135,25 +98,25 @@ void revised_lp1_pricing(benchmark::State& state, lp::PricingRule rule) {
       benchmark::Counter(static_cast<double>(pivots) / iters);
   state.counters["p1_pivots"] =
       benchmark::Counter(static_cast<double>(p1) / iters);
-  // LP1's standard form has one cover row per job plus the 8 load rows.
+  // "ftran_fill": the average fraction of the m rows an FTRAN result
+  // actually occupied. The sparse eta storage only pays off while this
+  // stays well below 1, so a storage regression shows here even when pivot
+  // counts hold steady. LP1's standard form has one cover row per job plus
+  // the 8 load rows.
   const double rows = static_cast<double>(n + 8);
   state.counters["ftran_fill"] = benchmark::Counter(
       ftran_calls > 0 ? static_cast<double>(ftran_nnz) /
                             (static_cast<double>(ftran_calls) * rows)
                       : 0.0);
+  state.SetComplexityN(n);
 }
-BENCHMARK_CAPTURE(revised_lp1_pricing, dantzig, lp::PricingRule::Dantzig)
-    ->Name("BM_RevisedLp1Pricing/dantzig")
+BENCHMARK(BM_RevisedLp1)
+    ->Arg(64)
     ->Arg(256)
-    ->Arg(1024);
-BENCHMARK_CAPTURE(revised_lp1_pricing, devex, lp::PricingRule::Devex)
-    ->Name("BM_RevisedLp1Pricing/devex")
-    ->Arg(256)
-    ->Arg(1024);
-BENCHMARK_CAPTURE(revised_lp1_pricing, steepest, lp::PricingRule::Steepest)
-    ->Name("BM_RevisedLp1Pricing/steepest")
-    ->Arg(256)
-    ->Arg(1024);
+    ->Arg(1024)
+    ->Arg(2048)
+    ->Arg(4096)
+    ->Complexity();
 
 void BM_FrankWolfeLp1(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

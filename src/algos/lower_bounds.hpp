@@ -8,9 +8,9 @@
 // chain and forest instances.
 //
 // Lemma 5 (via [11, Lemma 4.2]): the fractional LP2 optimum is O(E[T_OPT]);
-// we use t_LP2 / 2 and record the constant in EXPERIMENTS.md. For forests we
-// evaluate LP2 on the chain decomposition (dropping cross-block edges only
-// relaxes the program, so it stays a valid bound).
+// we use t_LP2 / 2 and record the constant in docs/benchmarks.md. For
+// forests we evaluate LP2 on the chain decomposition (dropping cross-block
+// edges only relaxes the program, so it stays a valid bound).
 #pragma once
 
 #include <vector>

@@ -57,14 +57,13 @@ class SuuCPolicy : public sim::Policy {
 
   /// Solve LP2 + Lemma 6 once for sharing across replications. `warm`
   /// (optional) chains a simplex warm-start across structurally identical
-  /// solves; `engine` picks the simplex core and `pricing` the
-  /// entering-variable rule — see rounding::solve_and_round_lp2.
+  /// solves; `engine` picks the simplex core — see
+  /// rounding::solve_and_round_lp2.
   static std::shared_ptr<const rounding::Lp2Result> precompute(
       const core::Instance& inst,
       const std::vector<std::vector<int>>& chains,
       lp::WarmStart* warm = nullptr,
-      lp::SimplexEngine engine = lp::SimplexEngine::Auto,
-      lp::PricingRule pricing = lp::PricingRule::Auto);
+      lp::SimplexEngine engine = lp::SimplexEngine::Auto);
   std::string name() const override { return "suu-c"; }
   void reset(const core::Instance& inst, util::Rng rng) override;
   sched::Assignment decide(const sim::ExecState& state) override;

@@ -13,7 +13,7 @@ SuuTPolicy::SuuTPolicy(SuuCPolicy::Config cfg,
 
 std::shared_ptr<const SuuTPolicy::BlockCache> SuuTPolicy::precompute(
     const core::Instance& inst, bool warm_start, lp::SimplexEngine engine,
-    lp::PricingRule pricing, lp::WarmStart* chain) {
+    lp::WarmStart* chain) {
   auto cache = std::make_shared<BlockCache>();
   cache->decomp = chains::decompose_forest(inst.dag());
   lp::WarmStart local;
@@ -21,7 +21,7 @@ std::shared_ptr<const SuuTPolicy::BlockCache> SuuTPolicy::precompute(
       warm_start ? (chain != nullptr ? chain : &local) : nullptr;
   for (const auto& block : cache->decomp.blocks) {
     cache->lp2.push_back(
-        SuuCPolicy::precompute(inst, block, warm, engine, pricing));
+        SuuCPolicy::precompute(inst, block, warm, engine));
   }
   return cache;
 }

@@ -84,8 +84,7 @@ void register_builtins(SolverRegistry& r) {
           algos::SuuCPolicy::Config cfg = suu_c_config(opt);
           if (opt.share_precompute) {
             cfg.lp2 = algos::SuuCPolicy::precompute(
-                inst, inst.dag().chains(), opt.lp1.warm, opt.lp1.engine,
-                opt.lp1.pricing);
+                inst, inst.dag().chains(), opt.lp1.warm, opt.lp1.engine);
           }
           return [cfg] { return std::make_unique<algos::SuuCPolicy>(cfg); };
         },
@@ -100,7 +99,6 @@ void register_builtins(SolverRegistry& r) {
           if (opt.share_precompute) {
             cache = algos::SuuTPolicy::precompute(inst, opt.warm_start,
                                                   opt.lp1.engine,
-                                                  opt.lp1.pricing,
                                                   opt.lp1.warm);
           }
           return [cfg, cache] {
@@ -316,16 +314,34 @@ PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
 
 // Prepare key: every field a preparer can read must be folded in, or two
 // differently-configured cells could alias one prepared solver. The
-// static_assert is the tripwire: adding a field to SolverOptions (or
-// Lp1Options) changes the struct size and fails the build here — fold the
-// new field into the hash below, then update the expected size.
-static_assert(sizeof(rounding::Lp1Options) ==
-                  2 * sizeof(int) + sizeof(void*) + sizeof(lp::SimplexEngine) +
-                      sizeof(lp::PricingRule),
+// static_asserts are the tripwire: they count the aggregate fields of
+// Lp1Options and SolverOptions (independent of layout and padding), so
+// adding a field fails the build here — fold the new field into the hash
+// below (or state why it is not key material), then update the count.
+namespace {
+// Converts to any field type: T{AnyField{}...} compiles exactly when the
+// aggregate T has at least that many fields.
+struct AnyField {
+  template <class T>
+  operator T() const;
+};
+template <class T, std::size_t... I>
+constexpr bool brace_init_with(std::index_sequence<I...>) {
+  return requires { T{((void)I, AnyField{})...}; };
+}
+template <class T, std::size_t N>
+constexpr bool has_fields =
+    brace_init_with<T>(std::make_index_sequence<N>{}) &&
+    !brace_init_with<T>(std::make_index_sequence<N + 1>{});
+}  // namespace
+// solver, simplex_size_limit, warm (not key material: a chaining handle),
+// engine.
+static_assert(has_fields<rounding::Lp1Options, 4>,
               "Lp1Options changed: fold the new field into prepare_key");
-static_assert(sizeof(SolverOptions) == sizeof(rounding::Lp1Options) +
-                                           5 * sizeof(bool) +
-                                           2 * sizeof(double) + /*padding*/ 3,
+// lp1, share_precompute, reuse_cache (not key material: it only decides
+// whether the cache is consulted), warm_start, random_delays,
+// grid_rounding, gamma_factor, fallback_factor.
+static_assert(has_fields<SolverOptions, 8>,
               "SolverOptions changed: fold the new field into prepare_key");
 std::uint64_t SolverRegistry::prepare_key(const core::Instance& inst,
                                           const std::string& name,
@@ -342,7 +358,6 @@ std::uint64_t SolverRegistry::prepare_key(std::uint64_t fingerprint,
   h = util::hash_combine(h,
                          static_cast<std::uint64_t>(opt.lp1.simplex_size_limit));
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.lp1.engine));
-  h = util::hash_combine(h, static_cast<std::uint64_t>(opt.lp1.pricing));
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.share_precompute));
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.warm_start));
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.random_delays));

@@ -465,38 +465,31 @@ namespace {
 // quantity a pivot needs is recomputed through the factorization instead of
 // maintained in a dense arena.
 //
-// Under Dantzig pricing, reduced costs are exact each iteration (recomputed
-// from BTRAN, never incrementally drifted) and the candidate list is a
-// partial-pricing shortlist re-priced per iteration — the historical
-// behavior, preserved bit for bit. Under Devex/steepest pricing the engine
-// switches to the textbook incremental scheme: reduced costs live in d_ and
-// are updated per pivot from the pivot row alpha = rho^T A (one sparse
-// BTRAN of e_leave plus a CSR sweep of rho's support), which also feeds the
-// reference-weight updates. Incremental d_ can drift, so every claim that
-// matters is re-derived exactly: the shortlist running dry triggers an
-// exact recompute before optimality is declared, Bland iterations recompute
-// exactly (keeping the anti-cycling termination argument), and each
-// refactorization squashes d_ along with the objective.
+// Pricing is Devex (lp/pricing.hpp) over incrementally maintained reduced
+// costs: they live in d_ and are updated per pivot from the pivot row
+// alpha = rho^T A (one sparse BTRAN of e_leave plus a CSR sweep of rho's
+// support), which also feeds the reference-weight updates. Incremental d_
+// can drift, so every verdict is re-derived exactly: the shortlist running
+// dry triggers an exact recompute before optimality is declared, Bland
+// iterations recompute exactly (keeping the anti-cycling termination
+// argument), an entering column with no ratio-test row is re-priced exactly
+// before unboundedness is declared, and each refactorization squashes d_
+// along with the objective.
 class RevisedSimplex {
  public:
-  RevisedSimplex(const StandardForm& sf, double tol, PricingRule rule)
+  RevisedSimplex(const StandardForm& sf, double tol)
       : sf_(sf),
         tol_(tol),
         piv_tol_(std::max(tol, kPivotTol)),
-        rule_(rule),
         fact_(sf, std::max(tol, kPivotTol)) {
     basic_pos_.assign(static_cast<std::size_t>(sf_.n_total), -1);
     w_.resize(sf_.m);
     rho_.resize(sf_.m);
-    tau_.resize(sf_.m);
     y_.assign(static_cast<std::size_t>(sf_.m), 0.0);
     support_.reserve(static_cast<std::size_t>(sf_.m));
-    if (rule_ != PricingRule::Dantzig) {
-      d_.assign(static_cast<std::size_t>(sf_.n_total), 0.0);
-      alpha_.assign(static_cast<std::size_t>(sf_.n_total), 0.0);
-      alpha_mark_.assign(static_cast<std::size_t>(sf_.n_total), 0);
-      beta_.assign(static_cast<std::size_t>(sf_.n_total), 0.0);
-    }
+    d_.assign(static_cast<std::size_t>(sf_.n_total), 0.0);
+    alpha_.assign(static_cast<std::size_t>(sf_.n_total), 0.0);
+    alpha_mark_.assign(static_cast<std::size_t>(sf_.n_total), 0);
   }
 
   /// Factorize `cols` as the basis and recompute x_B. False when singular.
@@ -539,15 +532,10 @@ class RevisedSimplex {
     for (int j = 0; j < lim; ++j) cost_[static_cast<std::size_t>(j)] = c[j];
     allow_limit_ = allow_limit;
     obj_ = basic_objective();
-    if (rule_ == PricingRule::Dantzig) {
-      compute_y();
-      rebuild_candidates();
-    } else {
-      // Each phase opens a fresh reference framework: all weights 1 over
-      // the current nonbasic set.
-      weights_.reset(sf_.n_total);
-      refresh_reduced_costs();
-    }
+    // Each phase opens a fresh reference framework: all weights 1 over the
+    // current nonbasic set.
+    weights_.reset(sf_.n_total);
+    refresh_reduced_costs();
   }
 
   double objective() const { return obj_; }
@@ -563,91 +551,28 @@ class RevisedSimplex {
   // One revised iteration. 0 = optimal, 1 = pivoted, 2 = unbounded,
   // -1 = numerical trouble (refactorization of the current basis failed).
   int iterate(bool bland) {
-    int enter = -1;
-    double d_enter = 0.0;
-    if (rule_ == PricingRule::Dantzig) {
-      compute_y();
-      if (bland) {
-        for (int j = 0; j < allow_limit_; ++j) {
-          if (basic_pos_[static_cast<std::size_t>(j)] >= 0) continue;
-          const double d = reduced_cost(j);
-          if (d < -tol_) {
-            enter = j;
-            d_enter = d;
-            break;
-          }
-        }
-      } else {
-        enter = price_candidates(&d_enter);
-        if (enter < 0) {
-          rebuild_candidates();
-          enter = price_candidates(&d_enter);
-        }
-      }
-    } else if (bland) {
+    if (bland) {
       // Bland's least-index rule must see exact reduced costs, or the
       // anti-cycling termination argument is void.
       refresh_reduced_costs();
-      for (int j = 0; j < allow_limit_; ++j) {
-        if (basic_pos_[static_cast<std::size_t>(j)] >= 0) continue;
-        if (d_[static_cast<std::size_t>(j)] < -tol_) {
-          enter = j;
-          d_enter = d_[static_cast<std::size_t>(j)];
-          break;
-        }
-      }
-    } else {
-      enter = price_weighted(&d_enter);
-      if (enter < 0) {
-        // Shortlist dry: recompute exactly before concluding anything.
-        // Finding nothing after this rescan is the optimality certificate.
-        refresh_reduced_costs();
-        enter = price_weighted(&d_enter);
-      }
     }
-    if (enter < 0) return 0;
-
-    // FTRAN the entering column. Ascending-row support keeps degenerate
-    // ratio-test ties (and the eta layout downstream) deterministic and
-    // identical to the historical dense scan.
-    w_.clear();
-    load_column(enter);
-    fact_.ftran(w_);
-    note_ftran();
-    support_.clear();
-    int leave = -1;
-    double best_ratio = std::numeric_limits<double>::infinity();
-    auto ratio_test = [&](int r, double a) {
-      if (a == 0.0) return;
-      support_.push_back(r);
-      if (a > piv_tol_) {
-        const double ratio = xb_[static_cast<std::size_t>(r)] / a;
-        if (ratio < best_ratio - tol_ ||
-            (ratio < best_ratio + tol_ &&
-             (leave < 0 || basis_[static_cast<std::size_t>(r)] <
-                               basis_[static_cast<std::size_t>(leave)]))) {
-          best_ratio = ratio;
-          leave = r;
-        }
+    for (;;) {
+      double d_enter = 0.0;
+      const int enter = bland ? price_bland(&d_enter) : price_devex(&d_enter);
+      if (enter < 0) return 0;
+      const int leave = ratio_test(enter);
+      if (leave >= 0) {
+        update_incremental(enter, leave, d_enter);
+        return pivot(leave, enter, d_enter) ? 1 : -1;
       }
-    };
-    if (w_.dense) {
-      for (int r = 0; r < sf_.m; ++r) {
-        ratio_test(r, w_.val[static_cast<std::size_t>(r)]);
-      }
-    } else {
-      std::sort(w_.idx.begin(), w_.idx.end());
-      for (const int r : w_.idx) {
-        ratio_test(r, w_.val[static_cast<std::size_t>(r)]);
-      }
-    }
-    if (leave < 0) {
       w_.clear();
-      return 2;
+      // No row limits the entering column. d_enter may be an incremental
+      // value update_lazy left stale, so decide unboundedness on the exact
+      // reduced cost; if the column is not really improving, pricing runs
+      // again over the exact values, so it cannot come back here twice.
+      refresh_reduced_costs();
+      if (d_[static_cast<std::size_t>(enter)] < -tol_) return 2;
     }
-    if (rule_ != PricingRule::Dantzig) update_incremental(enter, leave, d_enter);
-    const int ret = pivot(leave, enter, d_enter) ? 1 : -1;
-    return ret;
   }
 
   // After phase 1: drive basic artificials out where a real column can take
@@ -788,47 +713,47 @@ class RevisedSimplex {
     ftran_nnz_ += w_.dense ? sf_.m : static_cast<int>(w_.idx.size());
   }
 
-  void rebuild_candidates() {
-    cand_.clear();
-    in_cand_.assign(static_cast<std::size_t>(sf_.n_total), 0);
-    for (int j = 0; j < allow_limit_; ++j) {
-      if (basic_pos_[static_cast<std::size_t>(j)] >= 0) continue;
-      if (reduced_cost(j) < -tol_) {
-        cand_.push_back(j);
-        in_cand_[static_cast<std::size_t>(j)] = 1;
+  // FTRAN the entering column into w_ and run the ratio test over it,
+  // collecting w_'s nonzero rows in support_. Ascending-row support keeps
+  // degenerate ratio-test ties (and the eta layout downstream)
+  // deterministic and identical to a dense scan. Returns the leaving row,
+  // or -1 when no entry of the column is an acceptable pivot.
+  int ratio_test(int enter) {
+    w_.clear();
+    load_column(enter);
+    fact_.ftran(w_);
+    note_ftran();
+    support_.clear();
+    int leave = -1;
+    double best_ratio = std::numeric_limits<double>::infinity();
+    auto test_row = [&](int r, double a) {
+      if (a == 0.0) return;
+      support_.push_back(r);
+      if (a > piv_tol_) {
+        const double ratio = xb_[static_cast<std::size_t>(r)] / a;
+        if (ratio < best_ratio - tol_ ||
+            (ratio < best_ratio + tol_ &&
+             (leave < 0 || basis_[static_cast<std::size_t>(r)] <
+                               basis_[static_cast<std::size_t>(leave)]))) {
+          best_ratio = ratio;
+          leave = r;
+        }
+      }
+    };
+    if (w_.dense) {
+      for (int r = 0; r < sf_.m; ++r) {
+        test_row(r, w_.val[static_cast<std::size_t>(r)]);
+      }
+    } else {
+      std::sort(w_.idx.begin(), w_.idx.end());
+      for (const int r : w_.idx) {
+        test_row(r, w_.val[static_cast<std::size_t>(r)]);
       }
     }
+    return leave;
   }
 
-  // Lexicographic (reduced cost, index) minimum over the shortlist,
-  // re-pricing each member exactly and compacting out the stale ones.
-  int price_candidates(double* d_enter) {
-    int enter = -1;
-    double best = 0.0;
-    std::size_t w = 0;
-    for (std::size_t k = 0; k < cand_.size(); ++k) {
-      const int j = cand_[k];
-      if (basic_pos_[static_cast<std::size_t>(j)] >= 0) {
-        in_cand_[static_cast<std::size_t>(j)] = 0;
-        continue;
-      }
-      const double d = reduced_cost(j);
-      if (!(d < -tol_)) {
-        in_cand_[static_cast<std::size_t>(j)] = 0;
-        continue;
-      }
-      cand_[w++] = j;
-      if (enter < 0 || d < best || (d == best && j < enter)) {
-        best = d;
-        enter = j;
-      }
-    }
-    cand_.resize(w);
-    *d_enter = best;
-    return enter;
-  }
-
-  // ---- Devex / steepest-edge path (incremental reduced costs).
+  // ---- Devex pricing over incremental reduced costs.
 
   // Exact reset of d_ and the improving-candidate list from one BTRAN plus
   // a full column sweep. The only places optimality or Bland selections are
@@ -853,9 +778,30 @@ class RevisedSimplex {
     need_refresh_ = false;
   }
 
+  // Bland's least-index rule over d_ (exact: iterate refreshes first).
+  int price_bland(double* d_enter) const {
+    for (int j = 0; j < allow_limit_; ++j) {
+      if (basic_pos_[static_cast<std::size_t>(j)] >= 0) continue;
+      if (d_[static_cast<std::size_t>(j)] < -tol_) {
+        *d_enter = d_[static_cast<std::size_t>(j)];
+        return j;
+      }
+    }
+    return -1;
+  }
+
   // Max of d_j^2 / w_j over the shortlist, compacting out stale members.
-  // Ties break to the lowest index for determinism.
-  int price_weighted(double* d_enter) {
+  // Ties break to the lowest index for determinism. A dry shortlist is
+  // recomputed exactly before anything is concluded: finding nothing after
+  // that rescan is the optimality certificate.
+  int price_devex(double* d_enter) {
+    const int enter = price_shortlist(d_enter);
+    if (enter >= 0) return enter;
+    refresh_reduced_costs();
+    return price_shortlist(d_enter);
+  }
+
+  int price_shortlist(double* d_enter) {
     if (need_refresh_) refresh_reduced_costs();
     int enter = -1;
     double best_score = 0.0;
@@ -889,8 +835,7 @@ class RevisedSimplex {
   // basis changes (it needs the pre-pivot factorization, basis_ and w_).
   // The pivot row alpha = rho^T A comes from a sparse BTRAN of e_leave and
   // a sweep of the CSR rows where rho is nonzero — the payoff of carrying
-  // the matrix in both orientations. Steepest edge additionally BTRANs the
-  // FTRAN'd entering column to get beta_j = a_j^T B^{-T} B^{-1} a_q.
+  // the matrix in both orientations.
   void update_incremental(int enter, int leave, double d_enter) {
     const double piv = w_.val[static_cast<std::size_t>(leave)];
     const int leave_col = basis_[static_cast<std::size_t>(leave)];
@@ -898,19 +843,17 @@ class RevisedSimplex {
     rho_.insert(leave, 1.0);
     fact_.btran(rho_);
 
-    const bool steepest = rule_ == PricingRule::Steepest;
-
     // Two ways to reach every column this pivot must touch. The exact row
     // sweep walks the CSR rows of rho's support, updating *all* columns in
-    // the pivot row (textbook devex/steepest, and it discovers newly
-    // improving columns immediately). Its cost is the summed CSR support —
+    // the pivot row (textbook Devex, and it discovers newly improving
+    // columns immediately). Its cost is the summed CSR support —
     // ruinous when rho touches a dense row (LP1's machine-load rows carry
     // ~n entries each, turning every such pivot into an O(n·m) sweep). The
     // lazy path instead updates only the current shortlist by one short
     // column dot with rho each, leaving off-shortlist reduced costs stale;
-    // that is safe because every verdict that matters (optimality, Bland)
-    // already goes through an exact refresh, and a dry shortlist triggers
-    // one. Pick whichever costs less this pivot.
+    // that is safe because every verdict that matters (optimality,
+    // unboundedness, Bland) reads exact reduced costs, and a dry shortlist
+    // triggers an exact refresh. Pick whichever costs less this pivot.
     std::int64_t row_work = 0;
     if (rho_.dense) {
       row_work = sf_.row_ptr[static_cast<std::size_t>(sf_.m)];
@@ -922,14 +865,14 @@ class RevisedSimplex {
     }
     const std::int64_t avg_col_nnz = std::max<std::int64_t>(
         1, sf_.col_ptr[static_cast<std::size_t>(sf_.n_total)] / sf_.n_total);
-    const std::int64_t lazy_work = static_cast<std::int64_t>(cand_.size()) *
-                                   avg_col_nnz * (steepest ? 2 : 1);
+    const std::int64_t lazy_work =
+        static_cast<std::int64_t>(cand_.size()) * avg_col_nnz;
     // The factor leans heavily toward the exact sweep: its better weights
     // and immediate candidate discovery usually repay a mildly pricier
     // pivot, so lazy only engages when the row sweep is out of all
     // proportion (a near-dense pivot row against a short shortlist).
     if (row_work > 8 * lazy_work) {
-      update_lazy(enter, leave_col, piv, d_enter, steepest);
+      update_lazy(enter, leave_col, piv, d_enter);
       return;
     }
 
@@ -942,7 +885,6 @@ class RevisedSimplex {
         if (!alpha_mark_[static_cast<std::size_t>(j)]) {
           alpha_mark_[static_cast<std::size_t>(j)] = 1;
           alpha_[static_cast<std::size_t>(j)] = 0.0;
-          if (steepest) beta_[static_cast<std::size_t>(j)] = 0.0;
           alpha_supp_.push_back(j);
         }
         alpha_[static_cast<std::size_t>(j)] +=
@@ -961,43 +903,6 @@ class RevisedSimplex {
     rho_.clear();
 
     const double entering_weight = weights_[enter];
-    if (steepest) {
-      tau_.clear();
-      if (w_.dense) {
-        tau_.val = w_.val;
-        tau_.dense = true;
-      } else {
-        for (const int r : w_.idx) {
-          const double v = w_.val[static_cast<std::size_t>(r)];
-          if (v != 0.0) tau_.insert(r, v);
-        }
-      }
-      fact_.btran(tau_);
-      // beta accumulates only over columns already in alpha's support: a
-      // column with alpha_j == 0 keeps its weight regardless of beta_j.
-      auto beta_add = [&](int r, double x) {
-        if (x == 0.0) return;
-        for (int k = sf_.row_ptr[static_cast<std::size_t>(r)];
-             k < sf_.row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
-          const int j = sf_.row_col[static_cast<std::size_t>(k)];
-          if (alpha_mark_[static_cast<std::size_t>(j)]) {
-            beta_[static_cast<std::size_t>(j)] +=
-                x * sf_.row_val[static_cast<std::size_t>(k)];
-          }
-        }
-      };
-      if (tau_.dense) {
-        for (int r = 0; r < sf_.m; ++r) {
-          beta_add(r, tau_.val[static_cast<std::size_t>(r)]);
-        }
-      } else {
-        for (const int r : tau_.idx) {
-          beta_add(r, tau_.val[static_cast<std::size_t>(r)]);
-        }
-      }
-      tau_.clear();
-    }
-
     const double mult = d_enter / piv;
     for (const int j : alpha_supp_) {
       alpha_mark_[static_cast<std::size_t>(j)] = 0;
@@ -1008,13 +913,7 @@ class RevisedSimplex {
       }
       double& d = d_[static_cast<std::size_t>(j)];
       d -= mult * a;
-      const double ratio = a / piv;
-      if (steepest) {
-        weights_.note_steepest(j, ratio, beta_[static_cast<std::size_t>(j)],
-                               entering_weight);
-      } else {
-        weights_.note_devex(j, ratio, entering_weight);
-      }
+      weights_.note_devex(j, a / piv, entering_weight);
       if (j < allow_limit_ && d < -tol_ &&
           !in_cand_[static_cast<std::size_t>(j)]) {
         cand_.push_back(j);
@@ -1045,23 +944,9 @@ class RevisedSimplex {
   // cover the shortlist only: an off-shortlist weight frozen at its
   // reference value can only make that column look *more* attractive
   // later, which degrades the path toward Dantzig, never the answer.
-  void update_lazy(int enter, int leave_col, double piv, double d_enter,
-                   bool steepest) {
+  void update_lazy(int enter, int leave_col, double piv, double d_enter) {
     const double mult = d_enter / piv;
     const double entering_weight = weights_[enter];
-    if (steepest) {
-      tau_.clear();
-      if (w_.dense) {
-        tau_.val = w_.val;
-        tau_.dense = true;
-      } else {
-        for (const int r : w_.idx) {
-          const double v = w_.val[static_cast<std::size_t>(r)];
-          if (v != 0.0) tau_.insert(r, v);
-        }
-      }
-      fact_.btran(tau_);
-    }
     double alpha_enter = 0.0;
     for (const int j : cand_) {
       if (basic_pos_[static_cast<std::size_t>(j)] >= 0) continue;
@@ -1072,15 +957,8 @@ class RevisedSimplex {
       }
       if (a == 0.0) continue;
       d_[static_cast<std::size_t>(j)] -= mult * a;
-      const double ratio = a / piv;
-      if (steepest) {
-        weights_.note_steepest(j, ratio, dot_col(tau_.val, j),
-                               entering_weight);
-      } else {
-        weights_.note_devex(j, ratio, entering_weight);
-      }
+      weights_.note_devex(j, a / piv, entering_weight);
     }
-    if (steepest) tau_.clear();
     rho_.clear();
     d_[static_cast<std::size_t>(leave_col)] = -mult;
     d_[static_cast<std::size_t>(enter)] = 0.0;
@@ -1115,10 +993,7 @@ class RevisedSimplex {
     if (fact_.etas_since_refactor() >= refactor_interval()) {
       if (!install(basis_)) return false;
       obj_ = basic_objective();  // squash incremental drift
-      // d_ drifts on the same schedule as the objective: squash it too.
-      if (rule_ != PricingRule::Dantzig && !cost_.empty()) {
-        refresh_reduced_costs();
-      }
+      refresh_reduced_costs();  // d_ drifts on the same schedule
     }
     return true;
   }
@@ -1126,7 +1001,6 @@ class RevisedSimplex {
   const StandardForm& sf_;
   double tol_;
   double piv_tol_;
-  PricingRule rule_;             // resolved: never Auto
   BasisFactorization fact_;
   std::vector<int> basis_;       // basic column per row
   std::vector<int> basic_pos_;   // column -> row, -1 when nonbasic
@@ -1138,16 +1012,14 @@ class RevisedSimplex {
   std::vector<char> in_cand_;
   ScatteredVec w_;               // scratch: FTRAN'd entering column
   ScatteredVec rho_;             // scratch: BTRAN'd pivot row e_leave
-  ScatteredVec tau_;             // scratch: steepest-edge B^{-T} w
-  std::vector<double> y_;        // scratch: BTRAN'd pricing row (exact path)
+  std::vector<double> y_;        // scratch: BTRAN'd pricing row
   std::vector<int> support_;     // scratch: nonzero rows of w_
-  // Devex/steepest state.
+  // Devex state.
   pricing::ReferenceWeights weights_;
   std::vector<double> d_;        // incrementally maintained reduced costs
   std::vector<double> alpha_;    // scratch: pivot row over columns
   std::vector<char> alpha_mark_;
   std::vector<int> alpha_supp_;
-  std::vector<double> beta_;     // scratch: a_j^T tau on alpha's support
   bool need_refresh_ = false;
   // FTRAN telemetry for the perf benches (sparsity of entering columns).
   std::int64_t ftran_calls_ = 0;
@@ -1166,9 +1038,7 @@ Solution solve_revised(const Problem& p, const StandardForm& sf,
                        const SimplexOptions& opt, bool* numerical_trouble) {
   *numerical_trouble = false;
   Solution sol;
-  const PricingRule rule =
-      pricing::resolve_pricing(opt.pricing, SimplexEngine::Revised);
-  RevisedSimplex rs(sf, opt.tol, rule);
+  RevisedSimplex rs(sf, opt.tol);
   const int m = sf.m;
   const int n = sf.n_total;
   const int iter_cap = detail::simplex_iter_cap(m, n, opt.max_iters);

@@ -1,77 +1,52 @@
 // Entering-variable pricing for the simplex engines.
 //
-// Dantzig pricing ("most negative reduced cost") is scale-sensitive: a
-// column whose reduced cost looks steep only because its FTRAN'd image is
-// long gets picked again and again, and the n>=1024 LP1 phase-1 runs spend
-// thousands of pivots shuffling such columns. The classical fix is to
-// normalize the reduced cost by (an estimate of) the edge length
-// ||B^{-1} a_j||, selecting the entering column by
+// Each engine has one fixed rule:
 //
-//     maximize  d_j^2 / w_j   over improving columns (d_j < -tol)
+//  - The tableau prices by Dantzig ("most negative reduced cost", ties to
+//    the lowest index). Its pivot trajectories are byte-recorded in the
+//    table1 experiments, so the rule is part of the output contract.
+//  - The revised engine prices by Devex (Harris '73, as formulated by
+//    Forrest–Goldfarb '92). Dantzig pricing is scale-sensitive: a column
+//    whose reduced cost looks steep only because its FTRAN'd image is long
+//    gets picked again and again. Devex normalizes by a reference weight
+//    w_j that approximates the squared edge norm ||B^{-1} a_j||^2 relative
+//    to a reference framework (the nonbasic set at the last reset), and
+//    selects
 //
-// where w_j is a reference weight maintained incrementally per pivot:
+//        maximize  d_j^2 / w_j   over improving columns (d_j < -tol)
 //
-//  - Devex (Harris '73, as formulated by Forrest–Goldfarb '92): w_j
-//    approximates the squared edge norm relative to a reference framework
-//    (the nonbasic set at the last reset). Per pivot, for every column j in
-//    the pivot row's support with ratio r_j = alpha_rj / alpha_rq:
+//    Per pivot, for every column j in the pivot row's support with ratio
+//    r_j = alpha_rj / alpha_rq:
 //        w_j <- max(w_j, r_j^2 * w_q)
-//    and the leaving variable gets max(w_q / piv^2, 1). Costs nothing
-//    beyond the pivot row itself.
-//  - Approximate steepest edge (Goldfarb–Reid '77 recurrence, applied to
-//    weights initialized at 1 instead of exactly-computed norms):
-//        gamma_j <- max(gamma_j - 2 r_j beta_j + r_j^2 gamma_q,  1 + r_j^2)
-//    where beta_j = a_j^T B^{-T} B^{-1} a_q needs one extra BTRAN per pivot
-//    (of the FTRAN'd entering column) plus one sweep of the pivot row's
-//    support. More faithful to the true steepest-edge norms than Devex,
-//    about twice the update cost.
+//    and the leaving variable gets max(w_q / piv^2, 1). That costs nothing
+//    beyond the pivot row itself, and on cold LP2 it takes about a third of
+//    Dantzig's pivots.
 //
-// Both rules only re-rank columns that are already improving; which columns
-// COUNT as improving, and the optimality certificate, always come from
-// exact reduced costs (the engines recompute them before declaring
-// optimality). That is what keeps every pricing rule's verdicts identical
-// under the differential oracle — the rules change the path, never the
-// answer.
+// Devex only re-ranks columns that are already improving. Which columns
+// COUNT as improving, and every verdict — optimal, unbounded, Bland's
+// choice under stalling — comes from exact reduced costs, so the two
+// engines reach the same verdict and objective under the differential
+// oracle: the rule changes the path, never the answer.
 #pragma once
 
-#include <string_view>
 #include <vector>
 
-#include "lp/problem.hpp"
-
 namespace suu::lp::pricing {
-
-/// Parse the wire / CLI spelling of a pricing rule
-/// ("auto|dantzig|devex|steepest", matching to_string(PricingRule)).
-/// Returns false (leaving *out untouched) for anything else.
-bool parse_pricing_rule(std::string_view name, PricingRule* out);
 
 /// Weights above this trigger a framework reset (all weights back to 1):
 /// the reference framework has drifted too far for the approximation to
 /// mean anything, and oversized weights would just freeze those columns out.
 inline constexpr double kWeightResetThreshold = 1e7;
 
-/// Resolve PricingRule::Auto for an engine. The tableau engine keeps
-/// Dantzig — its pivot trajectories are byte-recorded in the table1
-/// experiments — while the revised engine defaults to Devex, where the
-/// pivot-count win compounds with the cheaper per-pivot linear algebra.
-inline PricingRule resolve_pricing(PricingRule rule, SimplexEngine engine) {
-  if (rule != PricingRule::Auto) return rule;
-  return engine == SimplexEngine::Tableau ? PricingRule::Dantzig
-                                          : PricingRule::Devex;
-}
-
-/// Reference weights for Devex / approximate steepest edge. Inactive until
-/// reset(n) is called (engines reset per objective load: each phase starts
-/// a fresh reference framework).
+/// Devex reference weights. Empty until reset(n) is called (the revised
+/// engine resets per objective load: each phase starts a fresh reference
+/// framework).
 class ReferenceWeights {
  public:
   void reset(int n) {
     w_.assign(static_cast<std::size_t>(n), 1.0);
     needs_reset_ = false;
   }
-  void deactivate() { w_.clear(); }
-  bool active() const { return !w_.empty(); }
 
   double operator[](int j) const { return w_[static_cast<std::size_t>(j)]; }
 
@@ -89,19 +64,6 @@ class ReferenceWeights {
       w = cand;
       if (cand > kWeightResetThreshold) needs_reset_ = true;
     }
-  }
-
-  /// Goldfarb–Reid steepest-edge recurrence; beta = a_j^T B^{-T} B^{-1} a_q
-  /// and gamma_q is the entering column's weight before the pivot. The
-  /// 1 + r^2 floor is the exact post-pivot lower bound on the squared edge
-  /// norm, so the clamp never over-trims.
-  void note_steepest(int j, double ratio, double beta, double gamma_q) {
-    const double floor = 1.0 + ratio * ratio;
-    double g = w_[static_cast<std::size_t>(j)] - 2.0 * ratio * beta +
-               ratio * ratio * gamma_q;
-    if (g < floor) g = floor;
-    w_[static_cast<std::size_t>(j)] = g;
-    if (g > kWeightResetThreshold) needs_reset_ = true;
   }
 
   /// Weight of the variable leaving on a pivot with element `piv`, given

@@ -41,21 +41,12 @@ std::string to_string(Status s);
 /// dense solver (O(m·n) per pivot, bit-stable pivot trajectories); Revised
 /// maintains a basis factorization instead of the full tableau (see
 /// lp/basis.hpp) and wins once the tableau stops fitting in cache. Auto
-/// switches on problem size (kRevisedAutoCells in lp/simplex.hpp).
+/// switches on problem size (kRevisedAutoCells in lp/simplex.hpp). Each
+/// engine has one fixed entering-variable rule: Dantzig on the tableau,
+/// Devex on the revised engine (lp/pricing.hpp).
 enum class SimplexEngine { Auto, Tableau, Revised };
 
 std::string to_string(SimplexEngine e);
-
-/// Entering-variable pricing rule (lp/pricing.hpp). Dantzig picks the most
-/// negative reduced cost — the historical rule and the byte-stability
-/// anchor. Devex and Steepest weigh reduced costs by (approximate) edge
-/// norms, trading a little per-pivot bookkeeping for far fewer pivots on
-/// the long phase-1 runs that dominate the n>=1024 LP1 regimes. Auto keeps
-/// Dantzig on the tableau engine (preserving recorded trajectories) and
-/// picks Devex on the revised engine.
-enum class PricingRule { Auto, Dantzig, Devex, Steepest };
-
-std::string to_string(PricingRule r);
 
 struct Solution {
   Status status = Status::IterLimit;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "lp/basis.hpp"
-#include "lp/pricing.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/simd.hpp"
@@ -35,18 +34,14 @@ class Tableau {
   // The shared standard form (lp/basis.hpp) reproduces this engine's
   // historical normalization bit for bit, so scattering its sparse columns
   // into the arena builds the exact tableau the old inline construction did.
-  Tableau(const StandardForm& sf, double tol,
-          PricingRule rule = PricingRule::Dantzig)
-      : tol_(tol), piv_tol_(std::max(tol, kPivotTol)), rule_(rule) {
+  Tableau(const StandardForm& sf, double tol)
+      : tol_(tol), piv_tol_(std::max(tol, kPivotTol)) {
     m_ = sf.m;
     n_orig_ = sf.n_orig;
     n_total_ = sf.n_total;
     art_begin_ = sf.art_begin;
     stride_ = n_total_;
     arena_.assign(static_cast<std::size_t>(m_) * stride_, 0.0);
-    if (rule_ == PricingRule::Steepest) {
-      beta_.assign(static_cast<std::size_t>(n_total_), 0.0);
-    }
     rhs_ = sf.rhs;
     basis_ = sf.init_basis;
     for (int j = 0; j < n_total_; ++j) {
@@ -109,9 +104,6 @@ class Tableau {
       cost_obj_ -= cb * rhs_[r];
     }
     allow_limit_ = allow_limit;
-    // Each objective load opens a fresh reference framework for the
-    // weighted pricing rules (weights stay inactive for Dantzig).
-    if (rule_ != PricingRule::Dantzig) weights_.reset(n_total_);
     rebuild_candidates();
   }
 
@@ -132,16 +124,14 @@ class Tableau {
         }
       }
     } else {
-      enter = rule_ == PricingRule::Dantzig ? price_candidates()
-                                            : price_candidates_weighted();
+      enter = price_candidates();
       if (enter < 0) {
         // Candidate list exhausted: fall back to one full pricing scan.
         // The incremental maintenance is exact, so this finds a column only
         // if floating-point drift desynchronized the list; finding none
         // certifies optimality.
         rebuild_candidates();
-        enter = rule_ == PricingRule::Dantzig ? price_candidates()
-                                              : price_candidates_weighted();
+        enter = price_candidates();
       }
     }
     if (enter < 0) return 0;
@@ -190,18 +180,6 @@ class Tableau {
     }
     rhs_[r] *= inv;
     pr[enter] = 1.0;  // kill roundoff
-    // Weighted pricing bookkeeping rides along with the elimination. For
-    // steepest edge, beta_j = a_j^T B^{-T} B^{-1} a_q is assembled from the
-    // pre-update rows (the tableau holds B^{-1}A explicitly, so no extra
-    // BTRAN is needed — the price is a second sweep of the support).
-    const bool track_weights =
-        rule_ != PricingRule::Dantzig && weights_.active() && !cost_.empty();
-    const bool steepest = track_weights && rule_ == PricingRule::Steepest;
-    if (steepest) {
-      // Pivot-row term: (B^{-1}a_q)_r = piv and the pre-scale row value is
-      // piv * pr[j].
-      for (const int j : support_) beta_[j] = piv * piv * pr[j];
-    }
     // Hybrid elimination: sparse pivot rows are applied through their
     // support list; once the row has filled in past half the arena width
     // the contiguous dense kernel wins (element-wise SIMD mul+sub, and
@@ -213,9 +191,6 @@ class Tableau {
       double* const prr = row(rr);
       const double f = prr[enter];
       if (f == 0.0) continue;  // column support: row untouched by this pivot
-      if (steepest) {
-        for (const int j : support_) beta_[j] += f * prr[j];
-      }
       if (dense_row) {
         util::simd::axpy_minus(prr, pr, f, n_total_);
       } else {
@@ -238,21 +213,6 @@ class Tableau {
         cost_[enter] = 0.0;
         cost_obj_ -= fc * rhs_[r];
       }
-    }
-    if (track_weights) {
-      // The scaled pivot row IS the ratio alpha_rj / alpha_rq the weight
-      // recurrences want.
-      const double wq = weights_[enter];
-      for (const int j : support_) {
-        if (j == enter) continue;
-        if (steepest) {
-          weights_.note_steepest(j, pr[j], beta_[j], wq);
-        } else {
-          weights_.note_devex(j, pr[j], wq);
-        }
-      }
-      weights_.set_leaving(basis_[r], wq, piv);
-      if (weights_.needs_reset()) weights_.reset(n_total_);
     }
     basis_[r] = enter;
   }
@@ -367,31 +327,6 @@ class Tableau {
     return enter;
   }
 
-  // Weighted variant: max of cost_j^2 / w_j over the candidate list (the
-  // tableau's reduced costs are maintained exactly, so no refresh step is
-  // needed). Ties break to the lowest index for determinism.
-  int price_candidates_weighted() {
-    int enter = -1;
-    double best_score = 0.0;
-    std::size_t w = 0;
-    for (std::size_t k = 0; k < cand_.size(); ++k) {
-      const int j = cand_[k];
-      const double c = cost_[j];
-      if (!(c < -tol_)) {
-        in_cand_[static_cast<std::size_t>(j)] = 0;
-        continue;  // stale: drop
-      }
-      cand_[w++] = j;
-      const double s = weights_.score(j, c);
-      if (enter < 0 || s > best_score || (s == best_score && j < enter)) {
-        best_score = s;
-        enter = j;
-      }
-    }
-    cand_.resize(w);
-    return enter;
-  }
-
   double tol_;
   double piv_tol_;
   int m_ = 0;
@@ -410,9 +345,6 @@ class Tableau {
   std::vector<int> cand_;      // improving columns (exact, lazily compacted)
   std::vector<char> in_cand_;  // j is somewhere in cand_
   std::vector<int> support_;   // scratch: pivot-row nonzero columns
-  PricingRule rule_ = PricingRule::Dantzig;  // resolved: never Auto
-  pricing::ReferenceWeights weights_;        // active for Devex/Steepest
-  std::vector<double> beta_;   // steepest scratch: a_j^T B^{-T} B^{-1} a_q
 };
 
 }  // namespace
@@ -450,9 +382,7 @@ Solution solve_simplex_impl(const Problem& p, const SimplexOptions& opt) {
     fallbacks.add();
   }
 
-  const PricingRule rule =
-      pricing::resolve_pricing(opt.pricing, SimplexEngine::Tableau);
-  Tableau tab(sf, opt.tol, rule);
+  Tableau tab(sf, opt.tol);
   const int m = tab.rows();
   const int n = tab.cols();
   // Anti-cycling guard (detail::run_simplex_phase, shared with the revised
@@ -478,7 +408,7 @@ Solution solve_simplex_impl(const Problem& p, const SimplexOptions& opt) {
       ++opt.warm->hits;
     } else {
       // A failed attempt may have pivoted already; rebuild from scratch.
-      tab = Tableau(sf, opt.tol, rule);
+      tab = Tableau(sf, opt.tol);
       ++opt.warm->misses;
       if (opt.warm->certify) {
         if (opt.warm->hits > 0) {

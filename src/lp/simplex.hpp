@@ -17,7 +17,8 @@
 // SimplexOptions::engine selects; Auto switches to Revised once the dense
 // arena would exceed kRevisedAutoCells entries. A Bland's-rule fallback
 // guards both engines against degenerate cycling. For large SUU-I instances
-// the Frank–Wolfe solver in lp/fw_cover.hpp takes over (see DESIGN.md §5).
+// the Frank–Wolfe solver in lp/fw_cover.hpp takes over (see
+// docs/lp-internals.md, "LP1: simplex or Frank–Wolfe").
 #pragma once
 
 #include <cstdint>
@@ -35,8 +36,8 @@ inline constexpr double kPivotTol = 1e-9;
 
 /// Consecutive non-improving pivots tolerated (as a multiple of m + n)
 /// before the pricing switches to Bland's rule, whose least-index selection
-/// provably cannot cycle. Dantzig pricing resumes once the objective makes
-/// strict progress again.
+/// provably cannot cycle. The engine's own rule (Dantzig or Devex) resumes
+/// once the objective makes strict progress again.
 inline constexpr int kBlandStallFactor = 4;
 
 namespace detail {
@@ -52,8 +53,8 @@ inline int simplex_stall_cap(int m, int n) {
 }
 
 /// The anti-cycling phase driver shared by the tableau and revised engines,
-/// so the Dantzig-to-Bland stall escalation (and its termination argument:
-/// each resumption of Dantzig pricing requires strict objective progress)
+/// so the pricing-to-Bland stall escalation (and its termination argument:
+/// each resumption of normal pricing requires strict objective progress)
 /// can never silently diverge between them. Engine must expose
 /// `iterate(bool bland)` returning 0 = optimal, 1 = pivoted, 2 = unbounded
 /// (negative values pass through for engine-specific trouble) and
@@ -165,14 +166,9 @@ struct SimplexOptions {
   /// are engine-portable: a seed recorded by either engine warm starts the
   /// other (the revised engine treats it as a factorization seed).
   WarmStart* warm = nullptr;
-  /// Which engine solves the program; Auto switches on problem size.
+  /// Which engine solves the program; Auto switches on problem size. The
+  /// engine fixes the pricing rule (lp/pricing.hpp).
   SimplexEngine engine = SimplexEngine::Auto;
-  /// Entering-variable pricing rule (lp/pricing.hpp). Auto resolves per
-  /// engine: Dantzig on the tableau (whose pivot trajectories are
-  /// byte-recorded), Devex on the revised engine. Every rule reaches the
-  /// same verdict and objective — pricing changes the pivot path, never
-  /// the answer (the differential oracle crosses all rules to enforce it).
-  PricingRule pricing = PricingRule::Auto;
 };
 
 /// Solve `min c·x, rows, x >= 0`. On Status::Optimal the returned point is

@@ -28,8 +28,7 @@ void check_jobs(const core::Instance& inst, const std::vector<int>& jobs) {
 Lp1Fractional solve_with_simplex(const core::Instance& inst,
                                  const std::vector<int>& jobs, double L,
                                  lp::WarmStart* warm,
-                                 lp::SimplexEngine engine,
-                                 lp::PricingRule pricing) {
+                                 lp::SimplexEngine engine) {
   lp::Problem p;
   const int t_var = p.add_var(1.0);  // minimize t
   // Variables only for capable (ell' > 0) pairs.
@@ -126,7 +125,6 @@ Lp1Fractional solve_with_simplex(const core::Instance& inst,
   lp::SimplexOptions sopt;
   sopt.warm = warm;
   sopt.engine = engine;
-  sopt.pricing = pricing;
   const lp::Solution sol = lp::solve_simplex(p, sopt);
   SUU_CHECK_MSG(sol.status == lp::Status::Optimal,
                 "LP1 solve failed: " << lp::to_string(sol.status));
@@ -198,8 +196,7 @@ Lp1Fractional solve_lp1(const core::Instance& inst,
        static_cast<std::int64_t>(jobs.size()) * inst.num_machines() <=
            opt.simplex_size_limit);
   return use_simplex
-             ? solve_with_simplex(inst, jobs, L, opt.warm, opt.engine,
-                                  opt.pricing)
+             ? solve_with_simplex(inst, jobs, L, opt.warm, opt.engine)
              : solve_with_fw(inst, jobs, L);
 }
 
@@ -326,7 +323,7 @@ sched::IntegralAssignment round_lp1(const core::Instance& inst,
   }
 
   // Numerical safety net: the theory guarantees mass >= L; if float error
-  // starved a job, top it up on its best machine (documented in DESIGN.md).
+  // starved a job, top it up on its best machine (docs/lp-internals.md).
   for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
     const int j = jobs[idx];
     double mass = x.delivered_mass(inst, j, L);

@@ -41,11 +41,6 @@ struct Lp1Options {
   /// factorization), or size-based auto selection. Also governs the LP2
   /// solves when these options are threaded through suu::api.
   lp::SimplexEngine engine = lp::SimplexEngine::Auto;
-  /// Simplex pricing rule (ignored by Frank–Wolfe; see lp/pricing.hpp).
-  /// Auto keeps the engine defaults: Dantzig on the tableau, Devex on the
-  /// revised engine. Like `engine`, this also governs the LP2 solves when
-  /// threaded through suu::api.
-  lp::PricingRule pricing = lp::PricingRule::Auto;
 };
 
 struct Lp1Fractional {

@@ -20,8 +20,7 @@ constexpr double kL = 1.0;  // LP2 uses a unit log-mass target
 
 Lp2Result solve_and_round_lp2(const core::Instance& inst,
                               const std::vector<std::vector<int>>& chains,
-                              lp::WarmStart* warm, lp::SimplexEngine engine,
-                              lp::PricingRule pricing) {
+                              lp::WarmStart* warm, lp::SimplexEngine engine) {
   // ---- Collect the job set and validate the chain partition.
   std::vector<int> jobs;
   std::vector<char> seen(inst.num_jobs(), 0);
@@ -93,7 +92,6 @@ Lp2Result solve_and_round_lp2(const core::Instance& inst,
   lp::SimplexOptions sopt;
   sopt.warm = warm;
   sopt.engine = engine;
-  sopt.pricing = pricing;
   const lp::Solution sol = lp::solve_simplex(p, sopt);
   SUU_CHECK_MSG(sol.status == lp::Status::Optimal,
                 "LP2 solve failed: " << lp::to_string(sol.status));
@@ -103,7 +101,8 @@ Lp2Result solve_and_round_lp2(const core::Instance& inst,
                 std::vector<std::int64_t>(inst.num_jobs(), 1),
                 sol.x[t_var],
                 sol.iterations,
-                sol.phase1_iterations};
+                sol.phase1_iterations,
+                sol.engine};
 
   // ---- Lemma 6 rounding: groups by floor(log2 ell'), source caps
   // floor(6 D*_jk), machine caps ceil(6 t*), group->machine edge caps

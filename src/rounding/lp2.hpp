@@ -35,6 +35,9 @@ struct Lp2Result {
   /// warm-start seed was accepted.
   int simplex_iterations = 0;
   int simplex_phase1_iterations = 0;
+  /// Simplex core that solved the relaxation: Revised unless the revised
+  /// engine hit numerical trouble and fell back to the tableau.
+  lp::SimplexEngine engine = lp::SimplexEngine::Tableau;
 };
 
 /// Solve the LP2 relaxation with the simplex and round per Lemma 6.
@@ -46,15 +49,11 @@ struct Lp2Result {
 /// same chain shape over capable pairs — the re-solve skips phase 1; a seed
 /// that does not fit is rejected and the solve runs cold. The handle is
 /// updated with this solve's final basis either way. `engine` picks the
-/// simplex core (lp::SimplexEngine::Auto switches on program size) and
-/// `pricing` the entering-variable rule (lp::PricingRule::Auto keeps the
-/// per-engine defaults; any rule reaches the same optimum).
+/// simplex core (lp::SimplexEngine::Auto switches on program size).
 Lp2Result solve_and_round_lp2(const core::Instance& inst,
                               const std::vector<std::vector<int>>& chains,
                               lp::WarmStart* warm = nullptr,
                               lp::SimplexEngine engine =
-                                  lp::SimplexEngine::Auto,
-                              lp::PricingRule pricing =
-                                  lp::PricingRule::Auto);
+                                  lp::SimplexEngine::Auto);
 
 }  // namespace suu::rounding

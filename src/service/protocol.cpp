@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "lp/pricing.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
 
@@ -67,7 +66,7 @@ api::SolverOptions parse_options(const Json& options) {
                    {"share_precompute", "reuse_cache", "warm_start",
                     "random_delays", "grid_rounding", "gamma_factor",
                     "fallback_factor", "lp1_solver",
-                    "lp1_simplex_size_limit", "lp_engine", "lp_pricing"},
+                    "lp1_simplex_size_limit", "lp_engine"},
                    "options");
   opt.share_precompute = get_bool(o, "share_precompute", opt.share_precompute);
   opt.reuse_cache = get_bool(o, "reuse_cache", opt.reuse_cache);
@@ -104,12 +103,6 @@ api::SolverOptions parse_options(const Json& options) {
       opt.lp1.engine = lp::SimplexEngine::Revised;
     } else {
       bad_params("lp_engine must be one of auto|tableau|revised");
-    }
-  }
-  if (const auto it = o.find("lp_pricing"); it != o.end()) {
-    const std::string& s = it->second.as_string("lp_pricing");
-    if (!lp::pricing::parse_pricing_rule(s, &opt.lp1.pricing)) {
-      bad_params("lp_pricing must be one of auto|dantzig|devex|steepest");
     }
   }
   return opt;

@@ -1,7 +1,7 @@
 // Delta-differential oracle: random delta chains applied to open handles
 // through the update_instance wire method must leave the handle answering
 // solve/estimate BYTE-identically to a cold parse of the fully mutated
-// instance — across both LP engines and every pricing rule, whether the
+// instance — across both LP engines, whether the
 // re-prepare warm-started from the parent's recorded basis or fell back
 // cold. This is the pin that keeps the warm-start path honest: a basis
 // seed may only change *how fast* the re-solve converges, never a single
@@ -181,7 +181,6 @@ std::string update_request(long id, std::uint64_t handle,
 }
 
 const char* kEngines[] = {"auto", "tableau", "revised"};
-const char* kPricings[] = {"auto", "dantzig", "devex", "steepest"};
 
 TEST(DeltaDifferential, UpdatedHandleMatchesColdParseBytes) {
   const long budget = instance_budget();
@@ -196,8 +195,7 @@ TEST(DeltaDifferential, UpdatedHandleMatchesColdParseBytes) {
     const core::Instance root =
         core::apply_delta(root_instance(trial, rng), core::InstanceDelta{});
     const std::string opts =
-        std::string("\"lp_engine\":\"") + kEngines[trial % 3] +
-        "\",\"lp_pricing\":\"" + kPricings[trial % 4] + "\"";
+        std::string("\"lp_engine\":\"") + kEngines[trial % 3] + "\"";
 
     const auto H = [&](const std::string& line) { return engine.handle(line); };
     const service::Json opened = service::Json::parse(H(

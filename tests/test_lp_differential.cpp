@@ -12,16 +12,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
-#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/io.hpp"
 #include "lp/basis.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
+#include "rounding/lp2.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace suu::lp {
@@ -238,22 +241,10 @@ double problem_scale(const Problem& p) {
 
 TEST(LpDifferential, EnginesAgreeAcrossGeneratedInstances) {
   const int total = instance_budget();
-  // Full cross of engine x pricing rule; the tableau under Dantzig (the
-  // historical, byte-recorded configuration) is the reference every other
-  // cell must match. Pricing changes the pivot path, never the verdict or
-  // the optimum — this is the oracle that enforces it.
-  struct Cell {
-    SimplexEngine engine;
-    PricingRule rule;
-  };
-  const Cell cells[] = {
-      {SimplexEngine::Tableau, PricingRule::Dantzig},
-      {SimplexEngine::Tableau, PricingRule::Devex},
-      {SimplexEngine::Tableau, PricingRule::Steepest},
-      {SimplexEngine::Revised, PricingRule::Dantzig},
-      {SimplexEngine::Revised, PricingRule::Devex},
-      {SimplexEngine::Revised, PricingRule::Steepest},
-  };
+  // The tableau (Dantzig pricing, the byte-recorded configuration) is the
+  // reference the revised engine (Devex pricing) must match. Engine and
+  // pricing change the pivot path, never the verdict or the optimum — this
+  // is the oracle that enforces it.
   int optimal = 0;
   int infeasible = 0;
   int unbounded = 0;
@@ -266,42 +257,35 @@ TEST(LpDifferential, EnginesAgreeAcrossGeneratedInstances) {
         std::string("family=") + g.family + " i=" + std::to_string(i);
 
     SimplexOptions ref_opt;
-    ref_opt.engine = cells[0].engine;
-    ref_opt.pricing = cells[0].rule;
+    ref_opt.engine = SimplexEngine::Tableau;
     const Solution st = solve_simplex(g.p, ref_opt);
     const double feas_tol = 1e-6 * problem_scale(g.p);
-    for (std::size_t c = 1; c < std::size(cells); ++c) {
-      SimplexOptions opt;
-      opt.engine = cells[c].engine;
-      opt.pricing = cells[c].rule;
-      const Solution sr = solve_simplex(g.p, opt);
-      const std::string cctx = ctx + " engine=" + to_string(cells[c].engine) +
-                               " pricing=" + to_string(cells[c].rule);
-      // A Revised request that silently fell back re-solved with the
-      // tableau, which would make the engine comparison vacuous — tolerated
-      // only on the families built to provoke it, and bounded overall
-      // below.
-      if (cells[c].engine == SimplexEngine::Revised &&
-          sr.engine != SimplexEngine::Revised) {
-        ++fallbacks;
-        if (std::string(g.family) != "near-singular" &&
-            std::string(g.family) != "degenerate") {
-          // The non-Dantzig rules walk different (occasionally worse
-          // conditioned) bases, so at 20k+ scale a handful of tame-family
-          // instances legitimately trip the safety net too. Rare is the
-          // invariant — the tight bound below — not never.
-          ++tame_fallbacks;
-        }
+    SimplexOptions opt;
+    opt.engine = SimplexEngine::Revised;
+    const Solution sr = solve_simplex(g.p, opt);
+    // A Revised request that silently fell back re-solved with the
+    // tableau, which would make the engine comparison vacuous — tolerated
+    // only on the families built to provoke it, and bounded overall below.
+    if (sr.engine != SimplexEngine::Revised) {
+      ++fallbacks;
+      if (std::string(g.family) != "near-singular" &&
+          std::string(g.family) != "degenerate") {
+        // Devex walks different (occasionally worse conditioned) bases than
+        // the reference, so at 20k+ scale a handful of tame-family
+        // instances legitimately trip the safety net too. Rare is the
+        // invariant — the tight bound below — not never.
+        ++tame_fallbacks;
       }
-      ASSERT_EQ(st.status, sr.status)
-          << cctx << " reference=" << to_string(st.status)
-          << " got=" << to_string(sr.status);
-      if (st.status != Status::Optimal) continue;
+    }
+    ASSERT_EQ(st.status, sr.status)
+        << ctx << " reference=" << to_string(st.status)
+        << " got=" << to_string(sr.status);
+    if (st.status == Status::Optimal) {
       // Equal objectives (the oracle condition) and directly verified
       // primal feasibility — never trust an engine's own verify.
       const double obj_tol = 1e-9 * (1.0 + std::fabs(st.objective));
-      EXPECT_NEAR(st.objective, sr.objective, obj_tol) << cctx;
-      EXPECT_LE(max_violation(g.p, sr.x), feas_tol) << cctx;
+      EXPECT_NEAR(st.objective, sr.objective, obj_tol) << ctx;
+      EXPECT_LE(max_violation(g.p, sr.x), feas_tol) << ctx;
     }
     switch (st.status) {
       case Status::Optimal:
@@ -325,14 +309,13 @@ TEST(LpDifferential, EnginesAgreeAcrossGeneratedInstances) {
   EXPECT_GT(optimal, total / 4);
   EXPECT_GT(infeasible, 0);
   EXPECT_GT(unbounded, 0);
-  // Three revised cells run per instance, so normalize against that.
-  EXPECT_LE(fallbacks * 10, 3 * total)
+  EXPECT_LE(fallbacks * 10, total)
       << "more than 10% of Revised requests fell back to the tableau";
   // Outside the families built to provoke trouble, fallbacks must stay
   // genuinely exceptional: at most 0.05% of revised solves (and never more
   // than a handful at the default 500-instance budget).
-  EXPECT_LE(tame_fallbacks * 2000, std::max(3 * total, 2000))
-      << tame_fallbacks << " tame-family tableau fallbacks in " << 3 * total
+  EXPECT_LE(tame_fallbacks * 2000, std::max(total, 2000))
+      << tame_fallbacks << " tame-family tableau fallbacks in " << total
       << " revised solves";
   std::cout << "[differential] " << total << " instances: " << optimal
             << " optimal, " << infeasible << " infeasible, " << unbounded
@@ -376,7 +359,8 @@ TEST(LpDifferential, WarmStartedResolvesMatchColdAcrossEngines) {
 
 // Deterministic n=1024 LP1-shaped instance mirroring the BM_RevisedLp1
 // bench family (1024 jobs over 8 machines). Large enough that phase 1
-// dominates and the pricing rules genuinely diverge in path length.
+// dominates and the lazy reduced-cost updates run for hundreds of pivots
+// between exact refreshes.
 Problem gen_lp1_large(std::uint64_t seed, int n_jobs, int n_machines) {
   util::Rng rng(seed);
   Problem p;
@@ -410,33 +394,88 @@ Problem gen_lp1_large(std::uint64_t seed, int n_jobs, int n_machines) {
   return p;
 }
 
-TEST(LpDifferential, DevexPivotsNoWorseThanDantzigOnLargeLp1) {
-  // The regression this PR's pricing work must never lose: on the n=1024
-  // LP1 family — the regime the revised engine exists for — Devex takes no
-  // more pivots than Dantzig from a cold start. Both runs are fully
-  // deterministic (fixed seed, explicit engine and rule, no warm handle, no
-  // LP1 crash basis since this calls solve_simplex directly), so this is an
-  // exact pin, not a statistical one.
+TEST(LpDifferential, RevisedColdLargeLp1MatchesTableau) {
+  // The revised engine's home regime — a cold n=1024 LP1 through phase 1,
+  // no crash basis (this calls solve_simplex directly) — must finish on the
+  // revised engine, without a tableau fallback, at the reference optimum.
+  // Both runs are fully deterministic (fixed seed, explicit engine, no warm
+  // handle), so the Devex pivot count is an exact pin: a change to it is a
+  // change of the default revised trajectory and must be deliberate.
   const Problem p = gen_lp1_large(0xB16'1024ULL, 1024, 8);
-  SimplexOptions dantzig;
-  dantzig.engine = SimplexEngine::Revised;
-  dantzig.pricing = PricingRule::Dantzig;
-  SimplexOptions devex = dantzig;
-  devex.pricing = PricingRule::Devex;
+  SimplexOptions tableau;
+  tableau.engine = SimplexEngine::Tableau;
+  SimplexOptions revised;
+  revised.engine = SimplexEngine::Revised;
 
-  const Solution sd = solve_simplex(p, dantzig);
-  const Solution sv = solve_simplex(p, devex);
-  ASSERT_EQ(sd.status, Status::Optimal);
-  ASSERT_EQ(sv.status, Status::Optimal);
-  ASSERT_EQ(sd.engine, SimplexEngine::Revised);
-  ASSERT_EQ(sv.engine, SimplexEngine::Revised);
-  EXPECT_NEAR(sd.objective, sv.objective,
-              1e-9 * (1.0 + std::fabs(sd.objective)));
-  EXPECT_LE(sv.iterations, sd.iterations)
-      << "Devex took more pivots than Dantzig on the n=1024 LP1 family "
-         "(devex=" << sv.iterations << " dantzig=" << sd.iterations << ")";
-  std::cout << "[differential] n=1024 lp1 pivots: dantzig=" << sd.iterations
-            << " devex=" << sv.iterations << "\n";
+  const Solution st = solve_simplex(p, tableau);
+  const Solution sr = solve_simplex(p, revised);
+  ASSERT_EQ(st.status, Status::Optimal);
+  ASSERT_EQ(sr.status, Status::Optimal);
+  ASSERT_EQ(sr.engine, SimplexEngine::Revised)
+      << "the revised engine fell back to the tableau";
+  EXPECT_NEAR(st.objective, sr.objective,
+              1e-9 * (1.0 + std::fabs(st.objective)));
+  // The pin holds at the default refactorization interval only; the
+  // refactor-stress registration refactorizes every pivot, which changes
+  // the incremental arithmetic and so the path.
+  if (refactor_interval() == kDefaultRefactorInterval) {
+    EXPECT_EQ(sr.iterations, 1558);
+  }
+  std::cout << "[differential] n=1024 lp1 pivots: tableau=" << st.iterations
+            << " revised=" << sr.iterations << "\n";
+}
+
+core::Instance read_lp2_fixture(const std::string& name) {
+  std::ifstream in(std::string(SUU_TEST_CORPUS_DIR) + "/lp2/" + name);
+  SUU_CHECK_MSG(in, "missing fixture tests/corpus/lp2/" << name);
+  return core::read_instance(in);
+}
+
+double tableau_lp2_optimum(const core::Instance& inst) {
+  return rounding::solve_and_round_lp2(inst, inst.dag().chains(), nullptr,
+                                       SimplexEngine::Tableau)
+      .t_fractional;
+}
+
+TEST(LpDifferential, RevisedColdLp2FixtureMatchesTableau) {
+  // A cold LP2 (88 jobs in chains on 8 machines) on which the revised
+  // engine used to report "unbounded": the entering column's FTRAN had no
+  // positive entry, and the reduced cost that made the column look
+  // improving was an incremental value the lazy pivot update had left
+  // stale. Unboundedness is now decided on the exact reduced cost.
+  const core::Instance inst = read_lp2_fixture("chains_n88.suu");
+  const double reference = tableau_lp2_optimum(inst);
+  try {
+    const rounding::Lp2Result revised = rounding::solve_and_round_lp2(
+        inst, inst.dag().chains(), nullptr, SimplexEngine::Revised);
+    // A silent fallback would make the comparison below vacuous.
+    EXPECT_EQ(revised.engine, SimplexEngine::Revised)
+        << "the revised engine fell back to the tableau";
+    EXPECT_NEAR(revised.t_fractional, reference,
+                1e-9 * (1.0 + std::fabs(reference)));
+  } catch (const std::exception& e) {
+    FAIL() << "revised engine did not reach Optimal: " << e.what();
+  }
+}
+
+TEST(LpDifferential, DefaultLp2FormerFallbackFixtureStaysRevised) {
+  // A cold LP2 (50 jobs in chains on 8 machines) on which the same stale
+  // reduced cost, hit in phase 1, used to look like numerical trouble and
+  // send the default (Auto) solve to the tableau. It now finishes on the
+  // revised engine — possibly at another optimal vertex than the tableau,
+  // which changes the suu-c replies built on it. The pivot count pins that
+  // trajectory: a change to it must be deliberate.
+  const core::Instance inst = read_lp2_fixture("chains_n50.suu");
+  const double reference = tableau_lp2_optimum(inst);
+  const rounding::Lp2Result lp2 =
+      rounding::solve_and_round_lp2(inst, inst.dag().chains());
+  EXPECT_EQ(lp2.engine, SimplexEngine::Revised)
+      << "the default solve fell back to the tableau";
+  EXPECT_NEAR(lp2.t_fractional, reference,
+              1e-9 * (1.0 + std::fabs(reference)));
+  if (refactor_interval() == kDefaultRefactorInterval) {
+    EXPECT_EQ(lp2.simplex_iterations, 186);  // see the n=1024 LP1 pin
+  }
 }
 
 // Note on SUU_LP_REFACTOR_INTERVAL coverage: the env override is read once

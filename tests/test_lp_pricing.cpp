@@ -1,10 +1,9 @@
 // Unit tests for the pricing module (lp/pricing.hpp) and the hardened
 // SUU_LP_REFACTOR_INTERVAL parsing (lp/basis.hpp). The end-to-end pricing
-// guarantees — identical verdicts and optima across every rule on both
-// engines — live in test_lp_differential.cpp; this file pins the local
-// contracts: spelling parsers, Auto resolution, the reference-weight
-// recurrences, and a small all-rules optimum check with exact expected
-// values.
+// guarantee — the tableau (Dantzig) and the revised engine (Devex) reach
+// identical verdicts and optima — lives in test_lp_differential.cpp; this
+// file pins the local contracts: the Devex reference-weight recurrences
+// and a small both-engines optimum check with exact expected values.
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -39,66 +38,14 @@ TEST(RefactorInterval, RejectsEverythingElse) {
   EXPECT_EQ(parse_refactor_interval(nullptr), kDefaultRefactorInterval);
 }
 
-TEST(PricingRule_, ParsesWireSpellings) {
-  PricingRule r = PricingRule::Auto;
-  ASSERT_TRUE(pricing::parse_pricing_rule("dantzig", &r));
-  EXPECT_EQ(r, PricingRule::Dantzig);
-  ASSERT_TRUE(pricing::parse_pricing_rule("devex", &r));
-  EXPECT_EQ(r, PricingRule::Devex);
-  ASSERT_TRUE(pricing::parse_pricing_rule("steepest", &r));
-  EXPECT_EQ(r, PricingRule::Steepest);
-  ASSERT_TRUE(pricing::parse_pricing_rule("auto", &r));
-  EXPECT_EQ(r, PricingRule::Auto);
-
-  r = PricingRule::Devex;
-  for (const char* s : {"", "Devex", "DANTZIG", "steepest ", "bland",
-                        "devex1", "auto\n"}) {
-    EXPECT_FALSE(pricing::parse_pricing_rule(s, &r)) << "input \"" << s
-                                                     << '"';
-    EXPECT_EQ(r, PricingRule::Devex) << "rejected parse must not write";
-  }
-}
-
-TEST(PricingRule_, SpellingsRoundTripThroughToString) {
-  for (const PricingRule r : {PricingRule::Auto, PricingRule::Dantzig,
-                              PricingRule::Devex, PricingRule::Steepest}) {
-    PricingRule back = PricingRule::Auto;
-    ASSERT_TRUE(pricing::parse_pricing_rule(to_string(r), &back))
-        << to_string(r);
-    EXPECT_EQ(back, r);
-  }
-}
-
-TEST(PricingRule_, AutoResolvesPerEngine) {
-  using pricing::resolve_pricing;
-  // Auto keeps the historical rule on the tableau (byte-recorded
-  // trajectories) and upgrades the revised engine to Devex.
-  EXPECT_EQ(resolve_pricing(PricingRule::Auto, SimplexEngine::Tableau),
-            PricingRule::Dantzig);
-  EXPECT_EQ(resolve_pricing(PricingRule::Auto, SimplexEngine::Revised),
-            PricingRule::Devex);
-  // Explicit rules pass through untouched on either engine.
-  for (const SimplexEngine e :
-       {SimplexEngine::Tableau, SimplexEngine::Revised}) {
-    EXPECT_EQ(resolve_pricing(PricingRule::Dantzig, e), PricingRule::Dantzig);
-    EXPECT_EQ(resolve_pricing(PricingRule::Devex, e), PricingRule::Devex);
-    EXPECT_EQ(resolve_pricing(PricingRule::Steepest, e),
-              PricingRule::Steepest);
-  }
-}
-
-TEST(ReferenceWeights, ResetActivationAndScore) {
+TEST(ReferenceWeights, ResetAndScore) {
   pricing::ReferenceWeights w;
-  EXPECT_FALSE(w.active());
   w.reset(4);
-  ASSERT_TRUE(w.active());
   for (int j = 0; j < 4; ++j) EXPECT_EQ(w[j], 1.0);
   // score = d^2 / w_j: at unit weights, ranking degenerates to |d| —
   // i.e. a fresh framework starts out agreeing with Dantzig.
   EXPECT_DOUBLE_EQ(w.score(0, -3.0), 9.0);
   EXPECT_DOUBLE_EQ(w.score(1, 2.0), 4.0);
-  w.deactivate();
-  EXPECT_FALSE(w.active());
 }
 
 TEST(ReferenceWeights, DevexUpdateIsMonotoneMax) {
@@ -112,19 +59,6 @@ TEST(ReferenceWeights, DevexUpdateIsMonotoneMax) {
   // score divides by the grown weight, demoting the long column.
   EXPECT_DOUBLE_EQ(w.score(0, -2.0), 1.0);
   EXPECT_FALSE(w.needs_reset());
-}
-
-TEST(ReferenceWeights, SteepestRecurrenceRespectsExactFloor) {
-  pricing::ReferenceWeights w;
-  w.reset(2);
-  // gamma_j <- max(gamma - 2 r beta + r^2 gamma_q, 1 + r^2). With gamma=1,
-  // r=1, beta=2, gamma_q=1 the recurrence gives 1 - 4 + 1 = -2, which the
-  // exact lower bound 1 + r^2 = 2 must catch.
-  w.note_steepest(0, 1.0, 2.0, 1.0);
-  EXPECT_DOUBLE_EQ(w[0], 2.0);
-  // And an honest update above the floor passes through: 1 + 6 + 9 = 16.
-  w.note_steepest(1, 3.0, -1.0, 1.0);
-  EXPECT_DOUBLE_EQ(w[1], 16.0);
 }
 
 TEST(ReferenceWeights, LeavingWeightAndResetThreshold) {
@@ -144,7 +78,7 @@ TEST(ReferenceWeights, LeavingWeightAndResetThreshold) {
   EXPECT_DOUBLE_EQ(w[0], 1.0);
 }
 
-TEST(Pricing, AllRulesReachTheSameOptimumOnBothEngines) {
+TEST(Pricing, BothEnginesReachTheSameOptimum) {
   // Tiny LP1-shaped program with a hand-checkable optimum: two jobs, two
   // machines, min t with unit covers and load rows — t* = 1 (one job per
   // machine at x = 1).
@@ -177,17 +111,11 @@ TEST(Pricing, AllRulesReachTheSameOptimumOnBothEngines) {
 
   for (const SimplexEngine e :
        {SimplexEngine::Tableau, SimplexEngine::Revised}) {
-    for (const PricingRule r : {PricingRule::Auto, PricingRule::Dantzig,
-                                PricingRule::Devex, PricingRule::Steepest}) {
-      SimplexOptions opt;
-      opt.engine = e;
-      opt.pricing = r;
-      const Solution s = solve_simplex(p, opt);
-      ASSERT_EQ(s.status, Status::Optimal)
-          << to_string(e) << '/' << to_string(r);
-      EXPECT_NEAR(s.objective, 1.0, 1e-9)
-          << to_string(e) << '/' << to_string(r);
-    }
+    SimplexOptions opt;
+    opt.engine = e;
+    const Solution s = solve_simplex(p, opt);
+    ASSERT_EQ(s.status, Status::Optimal) << to_string(e);
+    EXPECT_NEAR(s.objective, 1.0, 1e-9) << to_string(e);
   }
 }
 

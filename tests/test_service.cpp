@@ -177,20 +177,18 @@ TEST(ServiceProtocol, ParamValidation) {
   EXPECT_THROW(parse_solve_params(Json::parse(
                    R"({"instance":"x","options":{"lp_engine":"simplex"}})")),
                ProtocolError);
-  // Same contract for the pricing knob.
-  EXPECT_EQ(parse_solve_params(
-                Json::parse(
-                    R"({"instance":"x","options":{"lp_pricing":"devex"}})"))
-                .options.lp1.pricing,
-            lp::PricingRule::Devex);
-  EXPECT_EQ(parse_solve_params(
-                Json::parse(
-                    R"({"instance":"x","options":{"lp_pricing":"steepest"}})"))
-                .options.lp1.pricing,
-            lp::PricingRule::Steepest);
-  EXPECT_THROW(parse_solve_params(Json::parse(
-                   R"({"instance":"x","options":{"lp_pricing":"bland"}})")),
-               ProtocolError);
+  // The retired pricing knob is an unknown key like any other: each engine
+  // has one fixed rule, so the request is rejected as bad_params.
+  try {
+    parse_solve_params(Json::parse(
+        R"({"instance":"x","options":{"lp_pricing":"devex"}})"));
+    ADD_FAILURE() << "lp_pricing was accepted";
+  } catch (const ProtocolError& err) {
+    EXPECT_EQ(err.code(), error_code::kBadParams);
+    EXPECT_NE(std::string(err.what()).find("unknown key 'lp_pricing'"),
+              std::string::npos)
+        << err.what();
+  }
   // Estimate-only keys are rejected for a plain solve...
   EXPECT_THROW(
       parse_solve_params(Json::parse(R"({"instance":"x","seed":1})")),
