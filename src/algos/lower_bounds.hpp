@@ -13,6 +13,7 @@
 // edges only relaxes the program, so it stays a valid bound).
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "core/instance.hpp"
@@ -26,13 +27,30 @@ struct LowerBound {
   double value = 1.0;     ///< max(1, lp1_half, lp2_half)
 };
 
+/// Program optima a caller already solved for the same instance, with the
+/// same LP options and from a cold start (a warm seed may end at another
+/// optimal vertex whose objective differs in the last bits). The bound
+/// functions use a known value instead of re-solving its program, so the
+/// result is bit-identical to a from-scratch bound. NaN = not known.
+struct SolvedOptima {
+  /// Certified lower bound of LP1(J, 1/2) over every job (the round-1 LP of
+  /// SUU-I-OBL/SEM: Lp1Fractional::lower_bound).
+  double lp1 = std::numeric_limits<double>::quiet_NaN();
+  /// Fractional LP2 optimum over the instance's own chains (SUU-C's
+  /// Lp2Result::t_fractional).
+  double lp2 = std::numeric_limits<double>::quiet_NaN();
+};
+
 /// Lemma 1 bound (valid for any precedence structure).
 LowerBound lower_bound_independent(const core::Instance& inst,
-                                   const rounding::Lp1Options& opt = {});
+                                   const rounding::Lp1Options& opt = {},
+                                   const SolvedOptima& known = {});
 
 /// Lemma 1 + Lemma 5 bounds for an instance with the given disjoint chains.
+/// known.lp2 must come from these same chains.
 LowerBound lower_bound_chains(const core::Instance& inst,
                               const std::vector<std::vector<int>>& chains,
-                              const rounding::Lp1Options& opt = {});
+                              const rounding::Lp1Options& opt = {},
+                              const SolvedOptima& known = {});
 
 }  // namespace suu::algos

@@ -11,8 +11,8 @@ PrecomputeCache& PrecomputeCache::global() {
   return *cache;
 }
 
-sim::PolicyFactory PrecomputeCache::get_or_prepare(
-    std::uint64_t key, const std::function<sim::PolicyFactory()>& make) {
+PrecomputeCache::Value PrecomputeCache::get_or_prepare(
+    std::uint64_t key, const std::function<Value()>& make) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(key);
@@ -20,20 +20,21 @@ sim::PolicyFactory PrecomputeCache::get_or_prepare(
       ++stats_.hits;
       // Touch: move to most-recently-used position.
       lru_.splice(lru_.end(), lru_, it->second.lru_it);
-      return it->second.factory;
+      return it->second.value;
     }
     ++stats_.misses;
   }
-  sim::PolicyFactory made = make();  // outside the lock: may solve LPs
-  SUU_CHECK_MSG(made != nullptr, "preparer returned a null factory");
+  Value made = make();  // outside the lock: may solve LPs
+  SUU_CHECK_MSG(made.factory != nullptr, "preparer returned a null factory");
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
   if (it != entries_.end()) {
     // A racing thread inserted first; both computed the same deterministic
-    // value, so returning our own copy changes nothing. Touch the entry —
-    // this lookup still counts as a use.
+    // factory, so handing back the resident value changes no bytes and
+    // keeps one lower-bound slot per entry. Touch the entry — this lookup
+    // still counts as a use.
     lru_.splice(lru_.end(), lru_, it->second.lru_it);
-    return made;
+    return it->second.value;
   }
   const auto lru_it = lru_.insert(lru_.end(), key);
   entries_.emplace(key, Entry{made, lru_it, nullptr, 0});

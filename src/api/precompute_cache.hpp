@@ -6,7 +6,9 @@
 // same instance appears in many cells — and across repeated grids in the
 // same process, many times more — so the registry memoizes prepared
 // factories here, keyed by a 64-bit hash of (instance fingerprint, resolved
-// solver name, solver options).
+// solver name, solver options). Each entry also carries the instance's
+// LowerBoundSlot (api/registry.hpp), so the lower bound of every request
+// served by one entry is computed at most once.
 //
 // Correctness rests on two repo invariants: preparers are deterministic
 // functions of (instance, options), and factories are immutable once built
@@ -58,8 +60,17 @@
 
 namespace suu::api {
 
+class LowerBoundSlot;  // api/registry.hpp
+
 class PrecomputeCache {
  public:
+  /// One entry's payload: the prepared factory and the lower-bound slot
+  /// every request for the entry's instance shares (may be null).
+  struct Value {
+    sim::PolicyFactory factory;
+    std::shared_ptr<LowerBoundSlot> lower_bound;
+  };
+
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -72,11 +83,11 @@ class PrecomputeCache {
   /// The process-wide cache consulted by SolverRegistry::prepare.
   static PrecomputeCache& global();
 
-  /// Return the factory cached under `key` (touching its recency), or run
+  /// Return the value cached under `key` (touching its recency), or run
   /// `make`, cache its result, and return it. `make` executes outside the
-  /// cache lock.
-  sim::PolicyFactory get_or_prepare(
-      std::uint64_t key, const std::function<sim::PolicyFactory()>& make);
+  /// cache lock; when a racing miss inserted first, the resident value is
+  /// returned, so every caller shares one lower-bound slot.
+  Value get_or_prepare(std::uint64_t key, const std::function<Value()>& make);
 
   /// Entries retained before least-recently-used eviction kicks in (grids
   /// rarely exceed a few dozen live keys; the cap bounds pathological
@@ -126,7 +137,7 @@ class PrecomputeCache {
 
  private:
   struct Entry {
-    sim::PolicyFactory factory;
+    Value value;
     std::list<std::uint64_t>::iterator lru_it;  // position in lru_
     /// Warm-start provenance (see annotate); null/0/false until annotated.
     std::shared_ptr<const std::vector<int>> basis;

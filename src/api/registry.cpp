@@ -44,15 +44,19 @@ void register_builtins(SolverRegistry& r) {
         [](const core::Instance& inst, const SolverOptions& opt) {
           algos::SuuISemPolicy::Config cfg;
           cfg.lp1 = opt.lp1;
+          algos::SolvedOptima solved;
           if (opt.share_precompute) {
             cfg.round1 = algos::SuuISemPolicy::precompute_round1(inst, opt.lp1);
+            solved.lp1 = cfg.round1->lower_bound;  // LP1(J, 1/2) of Lemma 1
           }
           // Same rule as suu_c_config: the warm handle serves the
           // precompute above, never the minted policies' own re-solves.
           cfg.lp1.warm = nullptr;
-          return [cfg] {
-            return std::make_unique<algos::SuuISemPolicy>(cfg);
-          };
+          return Preparation{[cfg] {
+                               return std::make_unique<algos::SuuISemPolicy>(
+                                   cfg);
+                             },
+                             solved};
         },
         "SUU-I-SEM, semioblivious doubling rounds (Thm 4, "
         "O(log log min{m,n}))");
@@ -66,14 +70,20 @@ void register_builtins(SolverRegistry& r) {
         [](const core::Instance& inst, const SolverOptions& opt) {
           if (opt.share_precompute) {
             auto pre = algos::SuuIOblPolicy::precompute(inst, opt.lp1);
-            return sim::PolicyFactory([pre] {
-              return std::make_unique<algos::SuuIOblPolicy>(pre);
-            });
+            algos::SolvedOptima solved;
+            solved.lp1 = pre->lower_bound;  // LP1(J, 1/2) of Lemma 1
+            return Preparation{[pre] {
+                                 return std::make_unique<
+                                     algos::SuuIOblPolicy>(pre);
+                               },
+                               solved};
           }
           const rounding::Lp1Options lp1 = opt.lp1;
-          return sim::PolicyFactory([lp1] {
-            return std::make_unique<algos::SuuIOblPolicy>(lp1);
-          });
+          return Preparation{[lp1] {
+                               return std::make_unique<algos::SuuIOblPolicy>(
+                                   lp1);
+                             },
+                             {}};
         },
         "SUU-I-OBL, repeated oblivious LP1 schedule (Thm 3, O(log n))");
   r.add("suu-c",
@@ -82,11 +92,15 @@ void register_builtins(SolverRegistry& r) {
                         "suu-c requires a disjoint-chains dag; use 'auto' "
                         "or 'suu-t' for forests");
           algos::SuuCPolicy::Config cfg = suu_c_config(opt);
+          algos::SolvedOptima solved;
           if (opt.share_precompute) {
             cfg.lp2 = algos::SuuCPolicy::precompute(
                 inst, inst.dag().chains(), opt.lp1.warm, opt.lp1.engine);
+            solved.lp2 = cfg.lp2->t_fractional;  // Lemma 5's LP2
           }
-          return [cfg] { return std::make_unique<algos::SuuCPolicy>(cfg); };
+          return Preparation{
+              [cfg] { return std::make_unique<algos::SuuCPolicy>(cfg); },
+              solved};
         },
         "SUU-C, adaptive pseudoschedule over rounded LP2 (Thm 9, chains)");
   r.add("suu-t",
@@ -168,6 +182,17 @@ SolverRegistry& SolverRegistry::global() {
 
 void SolverRegistry::add(const std::string& name, Preparer prepare,
                          std::string summary, bool cacheable) {
+  SUU_CHECK_MSG(prepare != nullptr, "solver '" << name << "' needs a preparer");
+  add(name,
+      OptimaPreparer([prepare = std::move(prepare)](
+                         const core::Instance& inst, const SolverOptions& opt) {
+        return Preparation{prepare(inst, opt), {}};
+      }),
+      std::move(summary), cacheable);
+}
+
+void SolverRegistry::add(const std::string& name, OptimaPreparer prepare,
+                         std::string summary, bool cacheable) {
   SUU_CHECK_MSG(name != "auto", "'auto' is reserved for structure dispatch");
   SUU_CHECK_MSG(!name.empty(), "solver name must be non-empty");
   SUU_CHECK_MSG(prepare != nullptr, "solver '" << name << "' needs a preparer");
@@ -223,21 +248,34 @@ PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
     hint->cache_hit = false;
     hint->warm_used = false;
   }
+  // The slot takes a preparer's solved optima only from a cold run: a
+  // basis seed may end at another optimal vertex, whose objective can
+  // differ from the cold bound in the last bits.
+  const auto cache_value = [&opt](Preparation made, bool cold) {
+    return PrecomputeCache::Value{
+        std::move(made.factory),
+        std::make_shared<LowerBoundSlot>(
+            opt.lp1, cold ? made.solved : algos::SolvedOptima{})};
+  };
+  const OptimaPreparer& preparer = it->second.prepare;
   if (!cacheable) {
-    return PreparedSolver{resolved, it->second.prepare(inst, opt)};
+    PrecomputeCache::Value v =
+        cache_value(preparer(inst, opt), opt.lp1.warm == nullptr);
+    return PreparedSolver{resolved, std::move(v.factory),
+                          std::move(v.lower_bound)};
   }
-  const Preparer& preparer = it->second.prepare;
   PrecomputeCache& cache = PrecomputeCache::global();
   const std::uint64_t key = prepare_key(inst, resolved, opt);
   if (!opt.warm_start) {
     // No warm chaining requested: the classic cache path, hint or not.
     bool ran = false;
-    sim::PolicyFactory factory = cache.get_or_prepare(key, [&] {
+    PrecomputeCache::Value v = cache.get_or_prepare(key, [&] {
       ran = true;
-      return preparer(inst, opt);
+      return cache_value(preparer(inst, opt), /*cold=*/true);
     });
     if (hint != nullptr) hint->cache_hit = !ran;
-    return PreparedSolver{resolved, std::move(factory)};
+    return PreparedSolver{resolved, std::move(v.factory),
+                          std::move(v.lower_bound)};
   }
   // Warm-start path: a miss runs the preparer's LP solves through a
   // registry-owned handle — seeded from the parent entry's basis when the
@@ -261,7 +299,7 @@ PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
   bool ran = false;
   bool seeded_ok = false;
   lp::WarmStart warm;
-  sim::PolicyFactory factory = cache.get_or_prepare(key, [&] {
+  PrecomputeCache::Value v = cache.get_or_prepare(key, [&] {
     ran = true;
     if (seed) {
       // Seeded attempt under certification: every LP the preparer solves
@@ -281,11 +319,11 @@ PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
       SolverOptions warmed = opt;
       warmed.lp1.warm = &w;
       try {
-        sim::PolicyFactory f = preparer(inst, warmed);
+        Preparation made = preparer(inst, warmed);
         if (!w.diverged) {
           seeded_ok = w.certify && w.hits > 0;
           warm = std::move(w);
-          return f;
+          return cache_value(std::move(made), /*cold=*/false);
         }
       } catch (...) {
         // The seeded trajectory failed outright; the cold run below is
@@ -295,7 +333,7 @@ PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
     SolverOptions cold = opt;
     warm = lp::WarmStart{};
     cold.lp1.warm = &warm;
-    return preparer(inst, cold);
+    return cache_value(preparer(inst, cold), /*cold=*/true);
   });
   if (ran) {
     // Lineage: only an entry actually built from the seeded run descends
@@ -309,7 +347,8 @@ PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
     hint->cache_hit = !ran;
     hint->warm_used = seeded_ok;
   }
-  return PreparedSolver{resolved, std::move(factory)};
+  return PreparedSolver{resolved, std::move(v.factory),
+                        std::move(v.lower_bound)};
 }
 
 // Prepare key: every field a preparer can read must be folded in, or two
@@ -385,12 +424,25 @@ PreparedSolver solve_auto(const core::Instance& inst,
   return SolverRegistry::global().prepare(inst, "auto", opt);
 }
 
+LowerBoundSlot::LowerBoundSlot(const rounding::Lp1Options& lp1,
+                               algos::SolvedOptima known)
+    : lp1_(lp1), known_(known) {
+  lp1_.warm = nullptr;
+}
+
+algos::LowerBound LowerBoundSlot::get(const core::Instance& inst) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!value_) value_ = lower_bound_auto(inst, lp1_, known_);
+  return *value_;
+}
+
 algos::LowerBound lower_bound_auto(const core::Instance& inst,
-                                   const rounding::Lp1Options& opt) {
+                                   const rounding::Lp1Options& opt,
+                                   const algos::SolvedOptima& known) {
   const core::Dag& dag = inst.dag();
-  if (dag.is_empty()) return algos::lower_bound_independent(inst, opt);
+  if (dag.is_empty()) return algos::lower_bound_independent(inst, opt, known);
   if (dag.is_chains()) {
-    return algos::lower_bound_chains(inst, dag.chains(), opt);
+    return algos::lower_bound_chains(inst, dag.chains(), opt, known);
   }
   if (dag.is_out_forest() || dag.is_in_forest()) {
     const chains::Decomposition dec = chains::decompose_forest(dag);
@@ -398,9 +450,11 @@ algos::LowerBound lower_bound_auto(const core::Instance& inst,
     for (const auto& block : dec.blocks) {
       all.insert(all.end(), block.begin(), block.end());
     }
-    return algos::lower_bound_chains(inst, all, opt);
+    // known.lp2 is over the dag's own chains, not this decomposition.
+    return algos::lower_bound_chains(inst, all, opt,
+                                     algos::SolvedOptima{known.lp1});
   }
-  return algos::lower_bound_independent(inst, opt);
+  return algos::lower_bound_independent(inst, opt, known);
 }
 
 }  // namespace suu::api

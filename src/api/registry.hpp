@@ -25,6 +25,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,11 +70,47 @@ struct SolverOptions {
   double fallback_factor = 64.0;  ///< superstep budget multiplier
 };
 
-/// A solver prepared for one instance: the resolved registry name plus a
-/// factory that mints fresh policies sharing the precomputed artifacts.
+/// The lower bound on E[T_OPT] of one prepared solver, computed at most
+/// once. Every request served by the same PrecomputeCache entry (same
+/// instance fingerprint, solver and options) reads the one value. The first
+/// get() runs lower_bound_auto with the LP optima the preparer already
+/// solved cold (see Preparation), so the bound is bit-identical to a direct
+/// lower_bound_auto call; concurrent readers wait for it. A fill that
+/// throws leaves the slot empty: the next reader retries and sees the same
+/// error a direct call would.
+class LowerBoundSlot {
+ public:
+  LowerBoundSlot(const rounding::Lp1Options& lp1, algos::SolvedOptima known);
+
+  /// The bound of `inst`, which must be (equal in content to) the instance
+  /// the slot's solver was prepared for.
+  algos::LowerBound get(const core::Instance& inst);
+
+ private:
+  rounding::Lp1Options lp1_;  // the prepare's LP1 options, warm cleared
+  algos::SolvedOptima known_;
+  std::mutex mu_;  // guards value_; held across the first fill
+  std::optional<algos::LowerBound> value_;
+};
+
+/// A solver prepared for one instance: the resolved registry name, a
+/// factory that mints fresh policies sharing the precomputed artifacts, and
+/// the instance's lower-bound slot (never null; shared by every request
+/// the same cache entry serves, fresh per call when the prepare bypassed
+/// the cache).
 struct PreparedSolver {
   std::string name;
   sim::PolicyFactory factory;
+  std::shared_ptr<LowerBoundSlot> lower_bound;
+};
+
+/// What a preparer that also reports solved optima returns: the factory
+/// plus the lower-bound programs it solved on the way (the round-1
+/// LP1(J, 1/2) of SUU-I-OBL/SEM, SUU-C's LP2). The registry seeds the
+/// entry's LowerBoundSlot with them when the prepare ran cold.
+struct Preparation {
+  sim::PolicyFactory factory;
+  algos::SolvedOptima solved;
 };
 
 /// Warm-start hint for prepare(): the caller (service::Engine, after an
@@ -100,6 +138,9 @@ class SolverRegistry {
  public:
   using Preparer = std::function<sim::PolicyFactory(const core::Instance&,
                                                     const SolverOptions&)>;
+  /// A preparer that also reports the lower-bound optima it solved.
+  using OptimaPreparer = std::function<Preparation(const core::Instance&,
+                                                   const SolverOptions&)>;
 
   /// The process-wide registry, pre-populated with every builtin solver.
   /// Mutable so downstream code can register custom policies (see
@@ -114,6 +155,9 @@ class SolverRegistry {
   /// instance), rather than owning value/shared_ptr artifacts.
   void add(const std::string& name, Preparer prepare, std::string summary,
            bool cacheable = true);
+  /// add() for a preparer that reports the lower-bound optima it solved.
+  void add(const std::string& name, OptimaPreparer prepare,
+           std::string summary, bool cacheable = true);
 
   bool contains(const std::string& name) const;
   /// All registered names, sorted.
@@ -158,7 +202,7 @@ class SolverRegistry {
 
  private:
   struct Entry {
-    Preparer prepare;
+    OptimaPreparer prepare;
     std::string summary;
     bool cacheable = true;
   };
@@ -178,7 +222,9 @@ PreparedSolver solve_auto(const core::Instance& inst,
 /// Lemma 5 LP2/2 bound; forests evaluate LP2 on the heavy-path chain
 /// decomposition (dropping cross-block edges only relaxes the program);
 /// general dags fall back to Lemma 1, which never uses independence.
+/// `known` skips programs already solved (see algos::SolvedOptima).
 algos::LowerBound lower_bound_auto(const core::Instance& inst,
-                                   const rounding::Lp1Options& opt = {});
+                                   const rounding::Lp1Options& opt = {},
+                                   const algos::SolvedOptima& known = {});
 
 }  // namespace suu::api

@@ -558,6 +558,7 @@ std::string Engine::handle_update_instance(const Json& params) {
     throw ProtocolError(error_code::kBadDelta, err.what());
   }
 
+  std::vector<std::uint64_t> stale_keys;
   {
     std::lock_guard<std::mutex> lock(sess_mu_);
     const auto it = sessions_.find(p.handle);
@@ -572,16 +573,27 @@ std::string Engine::handle_update_instance(const Json& params) {
                           "a concurrent request raced this update on handle " +
                               std::to_string(p.handle) + "; retry");
     }
-    it->second.instance = next;
-    it->second.parent_fp = base->fingerprint();
-    session_lru_.splice(session_lru_.end(), session_lru_, it->second.lru_it);
+    Session& session = it->second;
+    session.instance = next;
+    session.parent_fp = base->fingerprint();
+    session_lru_.splice(session_lru_.end(), session_lru_, session.lru_it);
+    // The replaced instance becomes the parent and keeps its pins: a
+    // resident parent entry is what lets the re-prepare warm-start from
+    // its recorded basis. Older generations seed nothing, so their pins
+    // go — pins stay bounded however long the delta chain runs.
+    const auto current = session.pinned_keys.begin() +
+                         static_cast<std::ptrdiff_t>(session.current_pins);
+    stale_keys.assign(session.pinned_keys.begin(), current);
+    session.pinned_keys.erase(session.pinned_keys.begin(), current);
+    session.current_pins = session.pinned_keys.size();
+  }
+  for (const std::uint64_t key : stale_keys) {
+    api::PrecomputeCache::global().unpin(key);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.deltas_applied;
   }
-  // The parent's pins stay: keeping the parent entry resident is exactly
-  // what lets the re-prepare warm-start from its recorded basis.
 
   std::string out = "{\"handle\":" + std::to_string(p.handle);
   out += ",\"fingerprint\":";
@@ -655,7 +667,9 @@ void Engine::pin_key_for_session(std::uint64_t handle, std::uint64_t key) {
   // no session left to own a pin.
   if (it == sessions_.end()) return;
   auto& keys = it->second.pinned_keys;
-  if (std::find(keys.begin(), keys.end(), key) != keys.end()) return;
+  const auto current =
+      keys.begin() + static_cast<std::ptrdiff_t>(it->second.current_pins);
+  if (std::find(current, keys.end(), key) != keys.end()) return;
   keys.push_back(key);
   api::PrecomputeCache::global().pin(key);
 }
@@ -770,8 +784,7 @@ std::string Engine::handle_solve(const Json& params) {
   out += ",\"fingerprint\":";
   json_append_quoted(out, fingerprint_hex(instance.fingerprint()));
   if (p.want_lower_bound) {
-    const algos::LowerBound lb =
-        api::lower_bound_auto(instance, p.options.lp1);
+    const algos::LowerBound lb = prep->solver.lower_bound->get(instance);
     out += ",\"lower_bound\":" + util::fmt(lb.value, 6);
   }
   out += '}';
@@ -835,8 +848,7 @@ std::string estimate_result_json(const api::PreparedSolver& solver,
                                          instance.num_machines(), replications,
                                          capped, makespan);
   if (p.solve.want_lower_bound) {
-    const algos::LowerBound lb =
-        api::lower_bound_auto(instance, p.solve.options.lp1);
+    const algos::LowerBound lb = solver.lower_bound->get(instance);
     out += ",\"lower_bound\":" + util::fmt(lb.value, 6);
     if (lb.value > 0.0) {
       out += ",\"ratio\":" + util::fmt(makespan.mean / lb.value, 6);

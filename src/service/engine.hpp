@@ -282,11 +282,15 @@ class Engine {
   };
 
   /// One open instance handle: the parsed instance plus every
-  /// PrecomputeCache key this session has pinned (deduplicated; unpinned
-  /// on close/expiry/owner teardown).
+  /// PrecomputeCache key this session has pinned (unpinned on
+  /// close/expiry/owner teardown). Pins live for two generations: the
+  /// parent instance's keys come first, then the current instance's
+  /// (deduplicated) from current_pins on; update_instance unpins the
+  /// parent's and makes the current keys the new parent's.
   struct Session {
     std::shared_ptr<const core::Instance> instance;
     std::vector<std::uint64_t> pinned_keys;
+    std::size_t current_pins = 0;  // first current-generation key
     std::list<std::uint64_t>::iterator lru_it;  // position in session_lru_
     std::uint64_t owner = 0;  // begin_client scope; 0 = unowned
     /// Fingerprint of the instance this one was derived from by the last

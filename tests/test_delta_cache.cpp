@@ -167,8 +167,9 @@ TEST(DeltaCache, PinnedParentSurvivesCachePressure) {
 
 // Fingerprints are pure functions of instance content, so a delta and its
 // inverse converge back onto the ORIGINAL prepare key — the chain's first
-// entry is still cached (and pinned) and the third solve re-hits it
-// instead of preparing a third time.
+// entry is still cached (its pin went with the second update, which made
+// it the grandparent, but nothing evicted it) and the third solve re-hits
+// it instead of preparing a third time.
 TEST(DeltaCache, InverseDeltaConvergesOntoOriginalCacheEntry) {
   CacheSandbox sandbox;
   api::PrecomputeCache& cache = api::PrecomputeCache::global();
@@ -211,6 +212,41 @@ TEST(DeltaCache, InverseDeltaConvergesOntoOriginalCacheEntry) {
   EXPECT_EQ(after.misses, before.misses);
   engine.handle(R"({"id":4,"method":"close_instance","params":{"handle":)" +
                 std::to_string(handle) + "}}");
+}
+
+// A session pins the prepare keys of its current instance and of the
+// parent the current one was derived from (the parent's entry seeds the
+// warm re-prepare); every older generation is unpinned on update. A long
+// delta chain therefore holds at most 2 pinned keys per (solver, options)
+// pair instead of one per generation.
+TEST(DeltaCache, LongDeltaChainPinsOnlyCurrentAndParent) {
+  CacheSandbox sandbox;
+  api::PrecomputeCache& cache = api::PrecomputeCache::global();
+  const std::size_t base_pinned = cache.stats().pinned;
+  Engine engine;
+  const core::Instance root = core::apply_delta(
+      independent_instance(6, 3, 406), core::InstanceDelta{});
+  const std::uint64_t handle = open_handle(engine, root);
+  const std::string h = std::to_string(handle);
+  for (int k = 0; k < 200; ++k) {
+    const std::string cell = std::to_string(k % 18);
+    const std::string value =
+        service::json_number(0.05 + 0.9 * ((k * 37) % 101) / 101.0);
+    const std::string upd = engine.handle(
+        R"({"id":2,"method":"update_instance","params":{"handle":)" + h +
+        R"(,"q":{")" + cell + R"(":)" + value + "}}}");
+    ASSERT_TRUE(Json::parse(upd).find("ok")->as_bool("ok")) << upd;
+    // Two (solver, options) pairs per generation.
+    solve_via_handle(engine, handle);
+    engine.handle(R"({"id":3,"method":"solve","params":{"handle":)" + h +
+                  R"(,"options":{"lp_engine":"tableau"}}})");
+  }
+  const std::size_t pinned = cache.stats().pinned - base_pinned;
+  EXPECT_LE(pinned, 4u);
+  EXPECT_GE(pinned, 2u) << "the current instance's keys must stay pinned";
+  engine.handle(R"({"id":4,"method":"close_instance","params":{"handle":)" +
+                h + "}}");
+  EXPECT_EQ(cache.stats().pinned, base_pinned);
 }
 
 // max_open_handles LRU expiry mid-chain: updating an expired handle is
