@@ -1,8 +1,6 @@
 #include "service/eventloop.hpp"
 
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -415,12 +413,6 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
         ::close(fd);
         continue;
       }
-      // Replies are whole lines written as soon as they are ready; with
-      // Nagle on, a streamed estimate's small shard envelopes wait for the
-      // peer's delayed ACK (~40 ms) before the next one leaves. Fails
-      // harmlessly on non-TCP listeners.
-      const int one = 1;
-      (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
       setup_conn(fd);
     }
   }

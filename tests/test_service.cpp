@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -1739,48 +1738,6 @@ TEST(ServiceTransport, TcpManyConcurrentConnectionsAreByteDeterministic) {
   server.stop();
   server_thread.join();
   EXPECT_EQ(mismatches.load(), 0);
-}
-
-// Served sockets set TCP_NODELAY. Without it, every shard envelope after
-// the first waits for the client's delayed ACK (about 40 ms on Linux)
-// before it leaves, so a streamed estimate of a tiny instance takes tens of
-// milliseconds instead of well under one.
-TEST(ServiceTransport, TcpStreamedEstimateIsNotHeldByDelayedAck) {
-  Engine engine;
-  TcpServer server(engine, 0);
-  std::thread server_thread([&] { server.run(); });
-  const int fd = connect_loopback(server.port());
-
-  const std::string text = quoted(payload(independent_instance(4, 2, 31)));
-  const auto streamed = [&](int id) {
-    const std::string req =
-        R"({"id":)" + std::to_string(id) +
-        R"(,"method":"estimate","params":{"instance":)" + text +
-        R"(,"replications":6,"seed":3,"stream":true,"shards":3}})" "\n";
-    const auto t0 = std::chrono::steady_clock::now();
-    EXPECT_EQ(::write(fd, req.data(), req.size()),
-              static_cast<ssize_t>(req.size()));
-    // Three shard envelopes, then the done envelope.
-    int lines = 0;
-    char c = 0;
-    while (lines < 4 && ::read(fd, &c, 1) == 1) {
-      if (c == '\n') ++lines;
-    }
-    EXPECT_EQ(lines, 4);
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-  streamed(0);  // warm the cache and the connection
-  std::vector<double> ms;
-  for (int i = 1; i <= 5; ++i) ms.push_back(streamed(i));
-  std::sort(ms.begin(), ms.end());
-  EXPECT_LT(ms[2], 20.0) << "median streamed estimate took " << ms[2]
-                         << " ms: the reply waited for a delayed ACK";
-
-  ::close(fd);
-  server.stop();
-  server_thread.join();
 }
 
 }  // namespace
