@@ -41,9 +41,10 @@ std::string to_string(Status s);
 /// dense solver (O(m·n) per pivot, bit-stable pivot trajectories); Revised
 /// maintains a basis factorization instead of the full tableau (see
 /// lp/basis.hpp) and wins once the tableau stops fitting in cache. Auto
-/// switches on problem size (kRevisedAutoCells in lp/simplex.hpp). Each
-/// engine has one fixed entering-variable rule: Dantzig on the tableau,
-/// Devex on the revised engine (lp/pricing.hpp).
+/// switches on problem size (kRevisedAutoCells in lp/simplex.hpp; LP1
+/// switches at kLp1RevisedAutoCells). Each engine has one fixed
+/// entering-variable rule: Dantzig on the tableau, Devex on the revised
+/// engine (lp/pricing.hpp).
 enum class SimplexEngine { Auto, Tableau, Revised };
 
 std::string to_string(SimplexEngine e);

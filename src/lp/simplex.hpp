@@ -15,7 +15,8 @@
 //    any numerical trouble.
 //
 // SimplexOptions::engine selects; Auto switches to Revised once the dense
-// arena would exceed kRevisedAutoCells entries. A Bland's-rule fallback
+// arena would exceed kRevisedAutoCells entries (LP1, which has a crash
+// basis, switches earlier: kLp1RevisedAutoCells). A Bland's-rule fallback
 // guards both engines against degenerate cycling. For large SUU-I instances
 // the Frank–Wolfe solver in lp/fw_cover.hpp takes over (see
 // docs/lp-internals.md, "LP1: simplex or Frank–Wolfe").
@@ -111,6 +112,28 @@ inline bool will_use_revised(SimplexEngine engine, std::int64_t rows,
   return engine == SimplexEngine::Revised ||
          (engine == SimplexEngine::Auto &&
           rows * n_total >= kRevisedAutoCells);
+}
+
+/// LP1's own Auto threshold, lower than kRevisedAutoCells because LP1 has
+/// a crash basis (rounding::solve_lp1) that skips phase 1 on the revised
+/// engine; LP2 and Lawler–Labetoulle have none and keep the global rule.
+/// Revised + crash is at parity with the tableau below ~2^15 cells and
+/// 1.25–5.7× faster from 2^17 (8 to 32 machines). 2^17 is the smallest
+/// power of two above every LP1 a recorded table/figure experiment solves
+/// (the largest, 76,349 cells, is bench_table1_chains' SUU-C long-job
+/// batch), so those trajectories stay on the tableau (docs/lp-internals.md,
+/// "LP1 crash basis").
+inline constexpr std::int64_t kLp1RevisedAutoCells = 1 << 17;
+
+/// The engine rounding::solve_lp1 hands solve_simplex for an LP1 of this
+/// standard-form shape: Auto becomes Revised once the arena reaches
+/// kLp1RevisedAutoCells; an explicit engine passes through.
+inline SimplexEngine lp1_engine(SimplexEngine engine, std::int64_t rows,
+                                std::int64_t n_total) {
+  return engine == SimplexEngine::Auto &&
+                 rows * n_total >= kLp1RevisedAutoCells
+             ? SimplexEngine::Revised
+             : engine;
 }
 
 /// Reusable warm-start handle. Seed it with the basis of a previous

@@ -71,10 +71,13 @@ Lp1Fractional solve_with_simplex(const core::Instance& inst,
   // basis matrix is block triangular — diagonal over the cover rows, the
   // nonsingular [t | slacks] block over the load rows — so the seed always
   // installs, and phase 1 (the bulk of a cold solve's pivots: ~4.3n at
-  // n=1024) vanishes. Gated to the revised engine so the tableau's
-  // byte-recorded trajectories stay untouched, and to callers without a
-  // SEEDED warm-start handle so chained-solve hit/miss accounting keeps
-  // its documented meaning. A caller handle with an EMPTY basis (a
+  // n=1024) vanishes. Because of this seed, Auto sends LP1 to the revised
+  // engine from lp::kLp1RevisedAutoCells arena cells (lp::lp1_engine),
+  // below the global threshold. Gated to the revised engine so the
+  // tableau's byte-recorded trajectories (every table/figure LP1 is below
+  // that threshold) stay untouched, and to callers without a SEEDED
+  // warm-start handle so chained-solve hit/miss accounting keeps its
+  // documented meaning. A caller handle with an EMPTY basis (a
   // capture handle, e.g. the registry recording a basis for future delta
   // children) still gets the crash seed — an empty handle promises a cold
   // trajectory, and the crash basis IS this function's cold trajectory on
@@ -84,6 +87,7 @@ Lp1Fractional solve_with_simplex(const core::Instance& inst,
   const auto rows = static_cast<std::int64_t>(p.rows.size());
   const auto n_total =
       rows + p.num_vars + static_cast<std::int64_t>(jobs.size());
+  engine = lp::lp1_engine(engine, rows, n_total);
   const bool crashed = (warm == nullptr || warm->basis.empty()) &&
                        lp::will_use_revised(engine, rows, n_total);
   if (crashed) {
@@ -173,6 +177,7 @@ Lp1Fractional solve_with_fw(const core::Instance& inst,
   Lp1Fractional frac;
   frac.t = fw.t;
   frac.lower_bound = fw.lower_bound;
+  frac.fw_iterations = fw.iterations;
   frac.x.resize(jobs.size());
   for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
     for (std::size_t k = 0; k < sys.cover[idx].size(); ++k) {

@@ -60,6 +60,9 @@ struct Lp1Fractional {
   /// sparse eta kernels actually touched — the perf benches report it.
   std::int64_t ftran_calls = 0;
   std::int64_t ftran_nnz = 0;
+  /// Frank–Wolfe iterations spent (0 for the simplex). A run that reaches
+  /// lp::FwOptions::max_iters stopped on the cap, not on the gap rule.
+  int fw_iterations = 0;
 };
 
 /// Solve the relaxation of LP1(J', L). `jobs` lists J' (must be non-empty,

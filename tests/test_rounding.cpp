@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/generators.hpp"
+#include "lp1_arena.hpp"
+#include "lp/simplex.hpp"
 #include "rounding/lp1.hpp"
 #include "rounding/lp2.hpp"
 #include "util/check.hpp"
@@ -133,6 +137,45 @@ TEST(Lp1, SubsetOfJobsOnly) {
   // Untouched jobs get nothing.
   EXPECT_TRUE(x.steps_for(0).empty());
   EXPECT_TRUE(x.steps_for(7).empty());
+}
+
+TEST(Lp1Engine, RecordedExperimentSizesStayOnTableau) {
+  // The largest LP1 a recorded table/figure experiment solves: the SUU-C
+  // long-job batch of bench_table1_chains, 83 jobs on 8 machines, every
+  // pair capable — 76,349 arena cells. Auto must keep it on the tableau
+  // (cold phase 1), or the recorded trajectories move.
+  util::Rng rng(83);
+  core::Instance inst = core::make_independent(
+      83, 8, core::MachineModel::uniform(0.2, 0.95), rng);
+  const auto jobs = all_jobs(inst);
+  ASSERT_EQ(lp1_arena(inst, jobs, 1.0), 76349);
+  ASSERT_LT(lp1_arena(inst, jobs, 1.0), lp::kLp1RevisedAutoCells);
+  const Lp1Fractional f = solve_lp1(inst, jobs, 1.0);
+  EXPECT_GT(f.simplex_phase1_iterations, 0);
+}
+
+TEST(Lp1Engine, SemRoundAboveLp1ThresholdStartsFromCrashBasis) {
+  // A SEM round's LP1(J', 2) on 200 survivors × 16 machines: past LP1's
+  // revised threshold but below the global one and the Frank–Wolfe switch.
+  // Auto runs the revised engine from the crash basis (no phase 1) and
+  // must reach the tableau's optimum.
+  util::Rng rng(200);
+  core::Instance inst = core::make_independent(
+      200, 16, core::MachineModel::sparse(0.5, 0.2, 0.9), rng);
+  const auto jobs = all_jobs(inst);
+  const double L = 2.0;
+  const std::int64_t arena = lp1_arena(inst, jobs, L);
+  ASSERT_GE(arena, lp::kLp1RevisedAutoCells);
+  ASSERT_LT(arena, lp::kRevisedAutoCells);
+  ASSERT_LE(200 * 16, Lp1Options{}.simplex_size_limit);
+
+  const Lp1Fractional got = solve_lp1(inst, jobs, L);
+  EXPECT_EQ(got.simplex_phase1_iterations, 0);
+  Lp1Options tableau;
+  tableau.engine = lp::SimplexEngine::Tableau;
+  const Lp1Fractional want = solve_lp1(inst, jobs, L, tableau);
+  EXPECT_GT(want.simplex_phase1_iterations, 0);
+  EXPECT_NEAR(got.t, want.t, 1e-9 * (1.0 + want.t));
 }
 
 // ---- LP2 / Lemma 6 ----
