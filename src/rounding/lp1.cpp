@@ -89,7 +89,7 @@ Lp1Fractional solve_with_simplex(const core::Instance& inst,
       rows + p.num_vars + static_cast<std::int64_t>(jobs.size());
   engine = lp::lp1_engine(engine, rows, n_total);
   const bool crashed = (warm == nullptr || warm->basis.empty()) &&
-                       lp::will_use_revised(engine, rows, n_total);
+                       engine == lp::SimplexEngine::Revised;
   if (crashed) {
     std::vector<double> load(inst.num_machines(), 0.0);
     std::vector<int> chosen(jobs.size(), -1);   // var index per job
