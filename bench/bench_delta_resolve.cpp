@@ -1,14 +1,14 @@
 // PERF — incremental re-solve on open handles: how much faster a delta
-// chain runs through update_instance (re-prepare warm-started from the
-// parent entry's recorded basis, uniqueness-certified) than cold-parsing
-// and cold-preparing every mutated instance from scratch.
+// chain runs through update_instance than cold-parsing and cold-preparing
+// every mutated instance from scratch.
 //
-// Per family: open one handle, solve once to record the root basis, then
-// walk a chain of sparse q-deltas. Each step times
+// Per family: open one handle, solve once, then walk a chain of sparse
+// q-deltas. Each step times
 //
-//   warm:  update_instance + solve through the handle (the re-prepare
-//          seeds from the parent basis and skips phase 1 when the
-//          uniqueness certificate holds);
+//   warm:  update_instance + solve through the handle. The re-prepare is a
+//          plain cold prepare of the mutated instance; the win is the
+//          skipped parse/validate/fingerprint of a full instance payload
+//          (the delta is applied to the already-parsed instance);
 //   cold:  the same mutated instance solved inline with
 //          "reuse_cache": false — a full parse + cold prepare.
 //
@@ -20,8 +20,8 @@
 // (entries named "DeltaResolve/<family>") written to
 // BENCH_delta_resolve.json. tools/compare_bench.py gates wall time
 // loosely, mismatched_replies at zero, and warm_over_cold (warm time as a
-// fraction of cold — smaller is better, so a regression where
-// warm-starting stops paying shows up as the ratio climbing toward 1).
+// fraction of cold — smaller is better, so a regression where the handle
+// path stops paying shows up as the ratio climbing toward 1).
 //
 //   ./bench_delta_resolve [--steps=30] [--out=BENCH_delta_resolve.json]
 #include <chrono>
@@ -64,9 +64,7 @@ struct Family {
   std::string name;
   core::Instance root;
   std::string options;  ///< wire options JSON body (sans braces)
-  /// Range mutated q values are drawn from — kept inside the family's own
-  /// regime (the homogeneous family must stay homogeneous or its chain
-  /// drifts out of the unique-optimum regime the family exists to measure).
+  /// Range mutated q values are drawn from.
   double q_lo = 0.05;
   double q_span = 0.9;
 };
@@ -76,7 +74,6 @@ struct FamilyResult {
   int updates = 0;
   double warm_ms = 0.0;
   double cold_ms = 0.0;
-  std::uint64_t warm_hits = 0;
   std::uint64_t mismatched = 0;
 };
 
@@ -98,7 +95,7 @@ FamilyResult run_family(const Family& fam, int steps) {
   }
   const std::uint64_t handle = static_cast<std::uint64_t>(
       opened.find("result")->find("handle")->as_int64("handle"));
-  // Root solve: records the basis every first delta step seeds from.
+  // Root solve, so the chain starts from a handle in steady use.
   engine.handle(R"({"id":2,"method":"solve","params":{"handle":)" +
                 std::to_string(handle) + R"(,"options":)" + opts + "}}");
 
@@ -155,7 +152,6 @@ FamilyResult run_family(const Family& fam, int steps) {
     if (warm_resp != cold_resp) ++out.mismatched;
     ++out.updates;
   }
-  out.warm_hits = engine.stats().delta_warm_hits;
   engine.handle(R"({"id":9,"method":"close_instance","params":{"handle":)" +
                 std::to_string(handle) + "}}");
   return out;
@@ -169,15 +165,9 @@ int main(int argc, char** argv) {
   const std::string out_path =
       args.get_string("out", "BENCH_delta_resolve.json");
 
-  // Four prepare regimes: a small-LP1 family where the uniqueness
-  // certificate actually passes (a handful of jobs leaves the optimal face
-  // zero-dimensional often enough for the parent-basis seed to survive
-  // certification — the regime where the LP-level warm start fires; at
-  // paper scale LP1 optima are structurally dual-degenerate and the
-  // certified path correctly declines, so the larger families' win is the
-  // parse/validate skip alone), LP1 on the tableau engine, the chain
-  // decomposition's LP2 ladder, and LP1 forced onto the revised engine
-  // (whose warm path skips the eta-file phase-1 rebuild entirely).
+  // Four prepare regimes: a small LP1 (where the parse skip is a large
+  // share of the request), LP1 on the tableau engine, the chain
+  // decomposition's LP2 ladder, and LP1 forced onto the revised engine.
   std::vector<Family> families;
   {
     util::Rng gen(14);
@@ -221,16 +211,14 @@ int main(int argc, char** argv) {
   }
 
   util::Table table({"family", "updates", "warm_ms", "cold_ms",
-                     "warm_over_cold", "delta_warm_hits",
-                     "mismatched_replies"});
+                     "warm_over_cold", "mismatched_replies"});
   std::vector<FamilyResult> results;
   for (const Family& fam : families) {
     FamilyResult r = run_family(fam, steps);
     const double ratio = r.cold_ms > 0.0 ? r.warm_ms / r.cold_ms : 0.0;
     table.add_row({r.name, std::to_string(r.updates),
                    util::fmt(r.warm_ms, 3), util::fmt(r.cold_ms, 3),
-                   util::fmt(ratio, 4), std::to_string(r.warm_hits),
-                   std::to_string(r.mismatched)});
+                   util::fmt(ratio, 4), std::to_string(r.mismatched)});
     results.push_back(std::move(r));
   }
   table.print(std::cout);
@@ -253,7 +241,6 @@ int main(int argc, char** argv) {
        << ", \"updates\": " << r.updates
        << ", \"cold_ms\": " << util::fmt(r.cold_ms, 3)
        << ", \"warm_over_cold\": " << util::fmt(ratio, 4)
-       << ", \"delta_warm_hits\": " << r.warm_hits
        << ", \"mismatched_replies\": " << r.mismatched << "}"
        << (i + 1 < results.size() ? "," : "") << "\n";
   }

@@ -5,11 +5,14 @@
 // Unless --benchmark_out is given, results are also written to
 // BENCH_perf_micro.json (google-benchmark's JSON schema) in the working
 // directory, so every run leaves a machine-readable record of the perf
-// trajectory. Simplex benchmarks export a "pivots" counter (simplex
-// iterations per solve) alongside wall time: a pricing regression shows up
-// in pivots even when cache effects mask it in time.
+// trajectory. A --benchmark_list_tests run writes no file (it would
+// truncate the committed baseline when run from the repo root). Simplex
+// benchmarks export a "pivots" counter (simplex iterations per solve)
+// alongside wall time: a pricing regression shows up in pivots even when
+// cache effects mask it in time.
 #include <benchmark/benchmark.h>
 
+#include <cctype>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -309,14 +312,27 @@ void BM_BvnDecompose(benchmark::State& state) {
 }
 BENCHMARK(BM_BvnDecompose)->Arg(8)->Arg(24);
 
+// google-benchmark's reading of a boolean flag value: empty means true;
+// "0", "f", "n", "false", "no" and "off" (any case) mean false.
+bool truthy(const char* value) {
+  std::string v(value);
+  for (char& c : v) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return !(v == "0" || v == "f" || v == "n" || v == "false" || v == "no" ||
+           v == "off");
+}
+
 }  // namespace
 
 // BENCHMARK_MAIN with one addition: unless the caller already chose an
-// output file, default to a JSON record (BENCH_perf_micro.json) next to the
-// console report, so perf numbers accumulate as machine-readable artifacts.
+// output file or only lists the benches, default to a JSON record
+// (BENCH_perf_micro.json) next to the console report, so perf numbers
+// accumulate as machine-readable artifacts.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   bool has_out = false;
+  bool listing = false;
   for (int i = 1; i < argc; ++i) {
     // Exact flag (or --benchmark_out=...): --benchmark_out_format alone
     // must not suppress the default output file.
@@ -324,10 +340,16 @@ int main(int argc, char** argv) {
         std::strncmp(argv[i], "--benchmark_out=", 16) == 0) {
       has_out = true;
     }
+    // google-benchmark opens the output file even when it only lists.
+    if (std::strcmp(argv[i], "--benchmark_list_tests") == 0) {
+      listing = true;
+    } else if (std::strncmp(argv[i], "--benchmark_list_tests=", 23) == 0) {
+      listing = truthy(argv[i] + 23);
+    }
   }
   std::string out_flag = "--benchmark_out=BENCH_perf_micro.json";
   std::string fmt_flag = "--benchmark_out_format=json";
-  if (!has_out) {
+  if (!has_out && !listing) {
     args.push_back(out_flag.data());
     args.push_back(fmt_flag.data());
   }

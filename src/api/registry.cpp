@@ -12,7 +12,6 @@
 #include "algos/suu_t.hpp"
 #include "api/precompute_cache.hpp"
 #include "chains/decomposition.hpp"
-#include "lp/simplex.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
 
@@ -224,13 +223,6 @@ const std::string& SolverRegistry::summary(const std::string& name) const {
 PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
                                        const std::string& name,
                                        const SolverOptions& opt) const {
-  return prepare(inst, name, opt, nullptr);
-}
-
-PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
-                                       const std::string& name,
-                                       const SolverOptions& opt,
-                                       PrepareHint* hint) const {
   const std::string resolved = (name == "auto") ? dispatch(inst) : name;
   const auto it = entries_.find(resolved);
   if (it == entries_.end()) {
@@ -244,111 +236,31 @@ PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
   // borrowed Instance pointers (the entry's cacheable flag).
   const bool cacheable = it->second.cacheable && opt.share_precompute &&
                          opt.reuse_cache && opt.lp1.warm == nullptr;
-  if (hint != nullptr) {
-    hint->cache_hit = false;
-    hint->warm_used = false;
-  }
   // The slot takes a preparer's solved optima only from a cold run: a
-  // basis seed may end at another optimal vertex, whose objective can
-  // differ from the cold bound in the last bits.
-  const auto cache_value = [&opt](Preparation made, bool cold) {
+  // caller's basis seed may end at another optimal vertex, whose objective
+  // can differ from the cold bound in the last bits.
+  const auto cache_value = [&opt](Preparation made) {
     return PrecomputeCache::Value{
         std::move(made.factory),
         std::make_shared<LowerBoundSlot>(
-            opt.lp1, cold ? made.solved : algos::SolvedOptima{})};
+            opt.lp1, opt.lp1.warm == nullptr ? made.solved
+                                             : algos::SolvedOptima{})};
   };
   const OptimaPreparer& preparer = it->second.prepare;
-  if (!cacheable) {
-    PrecomputeCache::Value v =
-        cache_value(preparer(inst, opt), opt.lp1.warm == nullptr);
-    return PreparedSolver{resolved, std::move(v.factory),
-                          std::move(v.lower_bound)};
-  }
-  PrecomputeCache& cache = PrecomputeCache::global();
-  const std::uint64_t key = prepare_key(inst, resolved, opt);
-  if (!opt.warm_start) {
-    // No warm chaining requested: the classic cache path, hint or not.
-    bool ran = false;
-    PrecomputeCache::Value v = cache.get_or_prepare(key, [&] {
-      ran = true;
-      return cache_value(preparer(inst, opt), /*cold=*/true);
-    });
-    if (hint != nullptr) hint->cache_hit = !ran;
-    return PreparedSolver{resolved, std::move(v.factory),
-                          std::move(v.lower_bound)};
-  }
-  // Warm-start path: a miss runs the preparer's LP solves through a
-  // registry-owned handle — seeded from the parent entry's basis when the
-  // hint names one — and the final basis is recorded on the new entry so
-  // future children (update_instance deltas) can seed from it. An empty
-  // handle never changes a cold prepare's trajectory (the simplex engines
-  // treat it as a cold solve and merely write the final basis back), so
-  // cached bytes are identical with and without this machinery.
-  std::shared_ptr<const std::vector<int>> seed;
-  if (hint != nullptr && hint->parent_key != 0 &&
-      cache.certified_unique(hint->parent_key)) {
-    // Parent gate: only seed from a trajectory that certified its own
-    // final optimum unique. LP1 optima are structurally dual-degenerate
-    // whenever some job sits wholly on unsaturated machines, so a parent
-    // that failed the certificate predicts the child's seeded run would
-    // fail it too — paying a full seeded prepare only to discard it and
-    // re-run cold. Skipping the seed is purely a performance decision;
-    // byte-soundness always rests on the child's own certificates.
-    seed = cache.basis(hint->parent_key);
-  }
-  bool ran = false;
-  bool seeded_ok = false;
-  lp::WarmStart warm;
-  PrecomputeCache::Value v = cache.get_or_prepare(key, [&] {
-    ran = true;
-    if (seed) {
-      // Seeded attempt under certification: every LP the preparer solves
-      // must end at an optimum certified unique (lp::WarmStart::certify),
-      // or the seed may have steered the chain to a different optimal
-      // vertex than a cold prepare's — same objective, different policy
-      // bytes. A diverged attempt is discarded wholesale (mid-chain state
-      // depends on the seed, so no partial salvage is sound) and the cold
-      // run below is authoritative. The fallback lives INSIDE this miss
-      // lambda so a diverged factory is never cached. A seed the engines
-      // rejected outright on the chain's first solve instead degrades to
-      // a plain cold run (certify cleared, hits == 0) whose factory IS
-      // valid — keep it, just don't count it as warm.
-      lp::WarmStart w;
-      w.certify = true;
-      w.basis = *seed;
-      SolverOptions warmed = opt;
-      warmed.lp1.warm = &w;
-      try {
-        Preparation made = preparer(inst, warmed);
-        if (!w.diverged) {
-          seeded_ok = w.certify && w.hits > 0;
-          warm = std::move(w);
-          return cache_value(std::move(made), /*cold=*/false);
-        }
-      } catch (...) {
-        // The seeded trajectory failed outright; the cold run below is
-        // authoritative (and re-throws if the instance itself is bad).
-      }
-    }
-    SolverOptions cold = opt;
-    warm = lp::WarmStart{};
-    cold.lp1.warm = &warm;
-    return cache_value(preparer(inst, cold), /*cold=*/true);
-  });
-  if (ran) {
-    // Lineage: only an entry actually built from the seeded run descends
-    // from the parent; a cold fallback's basis is its own root. The
-    // last_unique verdict rides along so future children can decide
-    // whether seeding from this entry's basis is worth attempting.
-    cache.annotate(key, seeded_ok ? hint->parent_key : 0,
-                   std::move(warm.basis), warm.last_unique);
-  }
-  if (hint != nullptr) {
-    hint->cache_hit = !ran;
-    hint->warm_used = seeded_ok;
-  }
+  PrecomputeCache::Value v =
+      cacheable ? PrecomputeCache::global().get_or_prepare(
+                      prepare_key(inst, resolved, opt),
+                      [&] { return cache_value(preparer(inst, opt)); })
+                : cache_value(preparer(inst, opt));
   return PreparedSolver{resolved, std::move(v.factory),
                         std::move(v.lower_bound)};
+}
+
+PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
+                                       const std::string& name,
+                                       const SolverOptions& opt,
+                                       PrepareHint* /*hint*/) const {
+  return prepare(inst, name, opt);
 }
 
 // Prepare key: every field a preparer can read must be folded in, or two

@@ -113,25 +113,11 @@ struct Preparation {
   algos::SolvedOptima solved;
 };
 
-/// Warm-start hint for prepare(): the caller (service::Engine, after an
-/// update_instance) names the prepare key of the PARENT instance the
-/// current one was derived from; prepare seeds the LP solves of a cache
-/// miss from the basis recorded on that parent's PrecomputeCache entry and
-/// reports what happened. A hint never changes prepared artifacts' bytes —
-/// warm-starting alters the simplex path, not the optimum — only how fast
-/// a miss prepares.
+/// Retained only for source compatibility with callers that still pass
+/// one to the 4-argument prepare(); the registry ignores it. An
+/// update_instance re-prepare is a plain cold prepare of the new instance.
 struct PrepareHint {
-  /// In: prepare key of the parent entry (0 = no parent). Compute it with
-  /// prepare_key(parent_fingerprint, resolved_name, opt) — the same
-  /// options the child prepare uses, so parent and child agree on every
-  /// option fold.
   std::uint64_t parent_key = 0;
-  /// Out: the prepare was served from the cache (no work ran; the hint
-  /// was moot).
-  bool cache_hit = false;
-  /// Out: a miss ran AND the parent's recorded basis seeded at least one
-  /// accepted warm start (phase 1 skipped somewhere in the prepare).
-  bool warm_used = false;
 };
 
 class SolverRegistry {
@@ -170,12 +156,7 @@ class SolverRegistry {
   PreparedSolver prepare(const core::Instance& inst, const std::string& name,
                          const SolverOptions& opt = {}) const;
 
-  /// prepare() with a warm-start hint (may be nullptr == the overload
-  /// above). On a cacheable warm_start miss the preparer's LP solves run
-  /// through a registry-owned WarmStart handle — seeded from the parent
-  /// entry's basis when hint->parent_key names one — and the final basis
-  /// is recorded on the new entry for future children. hint's out fields
-  /// are filled either way.
+  /// Forwards to the overload above; `hint` is ignored (see PrepareHint).
   PreparedSolver prepare(const core::Instance& inst, const std::string& name,
                          const SolverOptions& opt, PrepareHint* hint) const;
 
@@ -194,8 +175,7 @@ class SolverRegistry {
                                    const SolverOptions& opt);
 
   /// prepare_key from a bare instance fingerprint — for callers that know
-  /// a fingerprint but no longer hold the instance (e.g. the parent of an
-  /// update_instance delta, which may already be gone).
+  /// a fingerprint but no longer hold the instance.
   static std::uint64_t prepare_key(std::uint64_t fingerprint,
                                    const std::string& name,
                                    const SolverOptions& opt);

@@ -77,11 +77,11 @@ Lp1Fractional solve_with_simplex(const core::Instance& inst,
   // tableau's byte-recorded trajectories (every table/figure LP1 is below
   // that threshold) stay untouched, and to callers without a SEEDED
   // warm-start handle so chained-solve hit/miss accounting keeps its
-  // documented meaning. A caller handle with an EMPTY basis (a
-  // capture handle, e.g. the registry recording a basis for future delta
-  // children) still gets the crash seed — an empty handle promises a cold
-  // trajectory, and the crash basis IS this function's cold trajectory on
-  // the revised engine.
+  // documented meaning. A caller handle with an EMPTY basis (e.g. one
+  // that only records the final basis for a later chained solve) still
+  // gets the crash seed — an empty handle promises a cold trajectory, and
+  // the crash basis IS this function's cold trajectory on the revised
+  // engine.
   lp::WarmStart crash;
   lp::WarmStart* caller = warm;
   const auto rows = static_cast<std::int64_t>(p.rows.size());

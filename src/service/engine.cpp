@@ -575,17 +575,11 @@ std::string Engine::handle_update_instance(const Json& params) {
     }
     Session& session = it->second;
     session.instance = next;
-    session.parent_fp = base->fingerprint();
     session_lru_.splice(session_lru_.end(), session_lru_, session.lru_it);
-    // The replaced instance becomes the parent and keeps its pins: a
-    // resident parent entry is what lets the re-prepare warm-start from
-    // its recorded basis. Older generations seed nothing, so their pins
-    // go — pins stay bounded however long the delta chain runs.
-    const auto current = session.pinned_keys.begin() +
-                         static_cast<std::ptrdiff_t>(session.current_pins);
-    stale_keys.assign(session.pinned_keys.begin(), current);
-    session.pinned_keys.erase(session.pinned_keys.begin(), current);
-    session.current_pins = session.pinned_keys.size();
+    // The replaced instance's prepared entries serve no later request on
+    // this handle, so its pins go; the next solve pins the new instance's
+    // keys. Pins stay bounded however long the delta chain runs.
+    stale_keys.swap(session.pinned_keys);
   }
   for (const std::uint64_t key : stale_keys) {
     api::PrecomputeCache::global().unpin(key);
@@ -667,9 +661,7 @@ void Engine::pin_key_for_session(std::uint64_t handle, std::uint64_t key) {
   // no session left to own a pin.
   if (it == sessions_.end()) return;
   auto& keys = it->second.pinned_keys;
-  const auto current =
-      keys.begin() + static_cast<std::ptrdiff_t>(it->second.current_pins);
-  if (std::find(current, keys.end(), key) != keys.end()) return;
+  if (std::find(keys.begin(), keys.end(), key) != keys.end()) return;
   keys.push_back(key);
   api::PrecomputeCache::global().pin(key);
 }
@@ -691,26 +683,6 @@ std::shared_ptr<const Engine::Prepared> Engine::prepare(
   const std::uint64_t key =
       api::SolverRegistry::prepare_key(*inst, resolved, opt);
   if (session_handle != 0) pin_key_for_session(session_handle, key);
-
-  // Delta warm-start hint: when the session's instance was derived from a
-  // parent by update_instance, point the registry at the parent's cache
-  // entry (same resolved solver + options, parent fingerprint) so a miss
-  // here seeds its LP solves from the parent's recorded basis.
-  api::PrepareHint hint;
-  api::PrepareHint* hintp = nullptr;
-  if (session_handle != 0) {
-    std::uint64_t parent_fp = 0;
-    {
-      std::lock_guard<std::mutex> lock(sess_mu_);
-      const auto it = sessions_.find(session_handle);
-      if (it != sessions_.end()) parent_fp = it->second.parent_fp;
-    }
-    if (parent_fp != 0) {
-      hint.parent_key =
-          api::SolverRegistry::prepare_key(parent_fp, resolved, opt);
-      hintp = &hint;
-    }
-  }
 
   std::shared_future<std::shared_ptr<const Prepared>> fut;
   std::promise<std::shared_ptr<const Prepared>> prom;
@@ -735,24 +707,7 @@ std::shared_ptr<const Engine::Prepared> Engine::prepare(
   try {
     auto prep = std::make_shared<Prepared>();
     prep->instance = std::move(inst);
-    const std::uint64_t t0 =
-        hintp != nullptr && obs::enabled() ? obs::now_us() : 0;
-    prep->solver = reg.prepare(*prep->instance, resolved, opt, hintp);
-    if (hintp != nullptr && !hint.cache_hit) {
-      // A re-prepare of an updated handle actually ran: record how long a
-      // delta re-solve takes (warm or not — the histogram's point is the
-      // warm/cold contrast against suu_phase_us{phase="prepare"}) and
-      // whether the parent's basis was accepted somewhere.
-      if (t0 != 0) {
-        obs::Registry::global()
-            .histogram("suu_delta_prepare_us")
-            .observe(obs::now_us() - t0);
-      }
-      if (hint.warm_used) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.delta_warm_hits;
-      }
-    }
+    prep->solver = reg.prepare(*prep->instance, resolved, opt);
     prom.set_value(prep);
     std::lock_guard<std::mutex> lock(sf_mu_);
     inflight_prepares_.erase(key);
@@ -1015,7 +970,6 @@ std::string Engine::handle_stats() const {
   // land in a predictable place and two stats snapshots diff cleanly.
   const std::pair<const char*, std::uint64_t> engine_fields[] = {
       {"coalesced", s.coalesced},
-      {"delta_warm_hits", s.delta_warm_hits},
       {"deltas_applied", s.deltas_applied},
       {"estimates", s.estimates},
       {"failed", s.failed},
@@ -1079,7 +1033,6 @@ std::string Engine::metrics_text() const {
       {"suu_engine_sessions_expired_total", s.sessions_expired},
       {"suu_engine_sessions_dropped_total", s.sessions_dropped},
       {"suu_engine_deltas_applied_total", s.deltas_applied},
-      {"suu_engine_delta_warm_hits_total", s.delta_warm_hits},
   };
   for (const auto& [name, value] : counters) reg.counter(name).set(value);
   reg.gauge("suu_engine_open_handles")

@@ -1,11 +1,10 @@
 // Delta-differential oracle: random delta chains applied to open handles
 // through the update_instance wire method must leave the handle answering
 // solve/estimate BYTE-identically to a cold parse of the fully mutated
-// instance — across both LP engines, whether the
-// re-prepare warm-started from the parent's recorded basis or fell back
-// cold. This is the pin that keeps the warm-start path honest: a basis
-// seed may only change *how fast* the re-solve converges, never a single
-// output byte.
+// instance — across both LP engines. Every re-prepare after an update is
+// a plain cold cache miss of the new instance; the oracle checks that the
+// handle's bytes depend only on the instance it now holds, never on the
+// chain of instances it held before.
 //
 // Instance count comes from SUU_DIFFERENTIAL_INSTANCES (default 200; the
 // nightly CI job runs tens of thousands). Each trial:
@@ -19,8 +18,9 @@
 //      applied apply_delta fingerprint;
 //   3. byte-compares solve and estimate through the mutated handle against
 //      the same requests with the final instance inlined and
-//      "reuse_cache": false — a cold prepare that cannot see the handle's
-//      warm trajectory.
+//      "reuse_cache": false — a cold prepare that cannot see anything the
+//      handle's chain cached — and checks that each post-update handle
+//      solve ran as a fresh cache-miss re-prepare.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,9 +29,11 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "api/precompute_cache.hpp"
 #include "core/delta.hpp"
 #include "core/generators.hpp"
 #include "core/instance.hpp"
@@ -187,6 +189,7 @@ TEST(DeltaDifferential, UpdatedHandleMatchesColdParseBytes) {
   service::Engine engine;
   util::Rng rng(20260807);
   long updates = 0;
+  long fresh_reprepares = 0;
 
   for (long trial = 0; trial < budget; ++trial) {
     // Canonicalize: generators insert edges in arbitrary order, the delta
@@ -205,9 +208,10 @@ TEST(DeltaDifferential, UpdatedHandleMatchesColdParseBytes) {
     const std::uint64_t handle = static_cast<std::uint64_t>(
         opened.find("result")->find("handle")->as_int64("handle"));
 
-    // Solve through the (not yet updated) handle once so the root's cache
-    // entry records its final LP basis — that is what the first delta's
-    // re-prepare warm-starts from.
+    // Solve through the (not yet updated) handle once so the root's entry
+    // is resident: a chain that returns to the root's fingerprint must hit
+    // it instead of re-preparing.
+    std::unordered_set<std::uint64_t> seen = {root.fingerprint()};
     H(R"({"id":8,"method":"solve","params":{"handle":)" +
       std::to_string(handle) + R"(,"options":{)" + opts + "}}}");
 
@@ -231,16 +235,23 @@ TEST(DeltaDifferential, UpdatedHandleMatchesColdParseBytes) {
       current = std::move(next);
       ++updates;
 
-      // Per-step oracle: the warm re-prepared handle vs a cold parse of
-      // the mutated instance, with reuse_cache:false so the reference
-      // prepare cannot be served by (or warm-start from) anything the
-      // handle's chain cached. This solve also records the basis the NEXT
-      // step seeds from.
+      // Per-step oracle: the re-prepared handle vs a cold parse of the
+      // mutated instance, with reuse_cache:false so the reference prepare
+      // cannot be served by anything the handle's chain cached. The handle
+      // solve itself must be a cache miss unless the chain came back to a
+      // fingerprint it already prepared.
       const std::string step_text = quoted(payload(current));
+      const bool fresh = seen.insert(current.fingerprint()).second;
+      const std::uint64_t misses_before =
+          api::PrecomputeCache::global().stats().misses;
       const std::string handle_solve = H(
           R"({"id":9,"method":"solve","params":{"handle":)" +
           std::to_string(handle) + R"(,"lower_bound":true,"options":{)" +
           opts + "}}}");
+      const bool missed =
+          api::PrecomputeCache::global().stats().misses > misses_before;
+      EXPECT_EQ(missed, fresh) << "trial " << trial << " step " << step;
+      if (missed) ++fresh_reprepares;
       const std::string cold_solve = H(
           R"({"id":9,"method":"solve","params":{"instance":)" + step_text +
           R"(,"lower_bound":true,"options":{"reuse_cache":false,)" + opts +
@@ -269,17 +280,13 @@ TEST(DeltaDifferential, UpdatedHandleMatchesColdParseBytes) {
 
   const service::Engine::Stats s = engine.stats();
   EXPECT_EQ(s.deltas_applied, static_cast<std::uint64_t>(updates));
-  // Every chain solves its parent before updating, so across hundreds of
-  // LP-backed trials at least SOME re-prepare must have accepted its
-  // parent's basis — zero means the warm plumbing silently disconnected.
-  if (budget >= 100) {
-    EXPECT_GT(s.delta_warm_hits, 0u);
-  }
+  // The compared handle solves must be re-prepares that actually ran, or
+  // the byte oracle above only ever compared cached entries.
+  EXPECT_GT(fresh_reprepares, 0);
   std::printf(
-      "[differential] %ld delta chains (%ld updates), %llu warm-started "
+      "[differential] %ld delta chains (%ld updates), %ld cache-miss "
       "re-prepares\n",
-      budget, updates,
-      static_cast<unsigned long long>(s.delta_warm_hits));
+      budget, updates, fresh_reprepares);
 }
 
 }  // namespace

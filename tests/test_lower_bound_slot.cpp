@@ -3,8 +3,8 @@
 // holds on cold prepares (where suu-i-sem / suu-i-obl and suu-c seed the
 // slot with the LP optimum their precompute already solved), on cache hits
 // (which share the entry's slot), on cache-bypassing prepares (a fresh slot
-// each), and along random q-delta chains whose re-prepares seed their LP
-// solves from the parent entry's basis (the slot then solves on its own).
+// each), and along random q-delta chains whose every child prepare is a
+// fresh cache miss.
 //
 // Instance count comes from SUU_DIFFERENTIAL_INSTANCES (default 200; the
 // nightly CI job runs tens of thousands), like the other differential
@@ -120,8 +120,6 @@ TEST(LowerBoundSlot, MatchesLowerBoundAutoBitForBit) {
   const long budget = instance_budget();
   const api::SolverRegistry& reg = api::SolverRegistry::global();
   util::Rng rng(20261017);
-  long delta_prepares = 0;
-  long warm_seeded = 0;
 
   for (long trial = 0; trial < budget; ++trial) {
     const core::Instance root = family_instance(trial, rng);
@@ -148,30 +146,23 @@ TEST(LowerBoundSlot, MatchesLowerBoundAutoBitForBit) {
       EXPECT_NE(fresh.lower_bound, cold.lower_bound);
       EXPECT_TRUE(same_bits(fresh.lower_bound->get(root), want));
 
-      // A delta chain: each child prepare names its parent's entry, so a
-      // miss seeds its LP solves from the parent's recorded basis.
-      const std::string resolved =
-          solver == "auto" ? api::SolverRegistry::dispatch(root) : solver;
+      // A delta chain: every child has a new fingerprint, so its prepare
+      // is a cache miss whose slot the preparer seeds afresh.
       core::Instance parent = root;
       const int steps = 1 + static_cast<int>(rng.uniform_below(3));
       for (int step = 0; step < steps; ++step) {
         const core::Instance child = q_delta_child(parent, rng);
-        api::PrepareHint hint;
-        hint.parent_key = api::SolverRegistry::prepare_key(
-            parent.fingerprint(), resolved, opt);
-        const api::PreparedSolver prepared =
-            reg.prepare(child, solver, opt, &hint);
-        ++delta_prepares;
-        if (hint.warm_used) ++warm_seeded;
+        const std::uint64_t misses =
+            api::PrecomputeCache::global().stats().misses;
+        const api::PreparedSolver prepared = reg.prepare(child, solver, opt);
+        EXPECT_EQ(api::PrecomputeCache::global().stats().misses, misses + 1)
+            << "step " << step << ": the child prepare must be a miss";
         EXPECT_TRUE(same_bits(prepared.lower_bound->get(child),
                               api::lower_bound_auto(child, opt.lp1)));
         parent = child;
       }
     }
   }
-  // The chains must actually exercise seeded prepares, or the oracle above
-  // only ever compared cold ones.
-  EXPECT_GT(warm_seeded, 0) << "of " << delta_prepares << " delta prepares";
   api::PrecomputeCache::global().clear();
 }
 
