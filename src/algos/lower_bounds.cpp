@@ -26,14 +26,14 @@ LowerBound lower_bound_chains(const core::Instance& inst,
                               const std::vector<std::vector<int>>& chains,
                               const rounding::Lp1Options& opt,
                               const SolvedOptima& known) {
-  LowerBound lb = lower_bound_independent(inst, opt, known);
   const double lp2 =
       std::isnan(known.lp2)
           ? rounding::solve_and_round_lp2(inst, chains, nullptr, opt.engine)
                 .t_fractional
           : known.lp2;
+  LowerBound lb;
   lb.lp2_half = lp2 / 2.0;
-  lb.value = std::max(lb.value, lb.lp2_half);
+  lb.value = std::max(1.0, lb.lp2_half);
   return lb;
 }
 

@@ -11,6 +11,13 @@
 // we use t_LP2 / 2 and record the constant in docs/benchmarks.md. For
 // forests we evaluate LP2 on the chain decomposition (dropping cross-block
 // edges only relaxes the program, so it stays a valid bound).
+//
+// When chains are given, LP2 alone is the bound: it dominates LP1(J, 1/2).
+// The chains partition J, and LP2 asks every job for mass 1 with
+// ℓ' = min(ℓ, 1), while LP1(J, 1/2) asks for mass 1/2 with min(ℓ, 1/2).
+// Since min(ℓ, 1/2) >= (1/2)·min(ℓ, 1), every LP2-feasible x is
+// LP1(J, 1/2)-feasible with the same loads, so t_LP2 >= t_LP1(J, 1/2)
+// (pinned by tests/test_lp2_dominates_lp1.cpp).
 #pragma once
 
 #include <limits>
@@ -22,7 +29,9 @@
 namespace suu::algos {
 
 struct LowerBound {
-  double lp1_half = 0.0;  ///< t_LP1(J, 1/2) / 2 (certified fractional LB)
+  /// t_LP1(J, 1/2) / 2 (certified fractional LB); 0 when chains are given,
+  /// since LP2 dominates it there.
+  double lp1_half = 0.0;
   double lp2_half = 0.0;  ///< t_LP2 / 2 when chains are given, else 0
   double value = 1.0;     ///< max(1, lp1_half, lp2_half)
 };
@@ -46,7 +55,9 @@ LowerBound lower_bound_independent(const core::Instance& inst,
                                    const rounding::Lp1Options& opt = {},
                                    const SolvedOptima& known = {});
 
-/// Lemma 1 + Lemma 5 bounds for an instance with the given disjoint chains.
+/// Lemma 5 bound for an instance with the given disjoint chains. Chains
+/// that cover every job (dag.chains() and the forest blocks do) make it
+/// dominate Lemma 1, so LP1 is not solved and known.lp1 is not used.
 /// known.lp2 must come from these same chains.
 LowerBound lower_bound_chains(const core::Instance& inst,
                               const std::vector<std::vector<int>>& chains,

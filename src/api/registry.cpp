@@ -363,8 +363,7 @@ algos::LowerBound lower_bound_auto(const core::Instance& inst,
       all.insert(all.end(), block.begin(), block.end());
     }
     // known.lp2 is over the dag's own chains, not this decomposition.
-    return algos::lower_bound_chains(inst, all, opt,
-                                     algos::SolvedOptima{known.lp1});
+    return algos::lower_bound_chains(inst, all, opt, algos::SolvedOptima{});
   }
   return algos::lower_bound_independent(inst, opt, known);
 }

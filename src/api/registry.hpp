@@ -198,10 +198,11 @@ PreparedSolver solve_auto(const core::Instance& inst,
                           const SolverOptions& opt = {});
 
 /// Structure-dispatched lower bound on E[T_OPT] — the denominator of every
-/// measured approximation ratio. Empty dags use Lemma 1; chain dags add the
-/// Lemma 5 LP2/2 bound; forests evaluate LP2 on the heavy-path chain
-/// decomposition (dropping cross-block edges only relaxes the program);
-/// general dags fall back to Lemma 1, which never uses independence.
+/// measured approximation ratio. Empty dags use Lemma 1; chain dags use the
+/// Lemma 5 LP2/2 bound, which dominates Lemma 1 there; forests evaluate LP2
+/// on the heavy-path chain decomposition (dropping cross-block edges only
+/// relaxes the program); general dags fall back to Lemma 1, which never
+/// uses independence.
 /// `known` skips programs already solved (see algos::SolvedOptima).
 algos::LowerBound lower_bound_auto(const core::Instance& inst,
                                    const rounding::Lp1Options& opt = {},

@@ -105,11 +105,10 @@ class Engine {
     /// Stats::sessions_expired); requests naming an expired handle get the
     /// typed error "unknown_handle".
     std::size_t max_open_handles = 64;
-    /// Transport read-idle timeout in milliseconds: a connection that
-    /// stays silent this long is abandoned by serve_fd and by the epoll
-    /// loop's timer wheel, so a half-open peer cannot pin a reader thread
-    /// forever. 0 disables the timeout (the pre-existing block-until-bytes
-    /// behavior).
+    /// Transport read-idle timeout in milliseconds: the event loop's timer
+    /// queue abandons a connection that stays silent this long, so a
+    /// half-open peer cannot hold its session (and its cache pins)
+    /// forever. 0 disables the timeout.
     int idle_timeout_ms = 0;
     /// Slow-reader bound for the epoll transport: a connection whose
     /// queued-but-unwritten reply bytes exceed this is disconnected

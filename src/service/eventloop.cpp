@@ -39,7 +39,7 @@ void set_nonblocking(int fd) {
 }
 
 /// Strip a trailing '\r' (CRLF tolerance) and report whether anything is
-/// left to submit. Mirrors the threaded transports in transport.cpp.
+/// left to submit. Mirrors serve_stream in transport.cpp.
 bool normalize_line(std::string& line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
   return !line.empty();
@@ -87,7 +87,7 @@ struct EventLoop::Conn {
 
 struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
   Engine& engine;
-  const Options opt;
+  const Engine::Config& cfg;
   const FaultSpec fault;
 
   int epfd = -1;
@@ -122,8 +122,8 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
   obs::Gauge& queue_gauge =
       obs::Registry::global().gauge("suu_epoll_outbound_queue_bytes");
 
-  Impl(Engine& e, const Options& o, const FaultSpec& f)
-      : engine(e), opt(o), fault(f) {
+  Impl(Engine& e, const FaultSpec& f)
+      : engine(e), cfg(e.config()), fault(f) {
     epfd = ::epoll_create1(EPOLL_CLOEXEC);
     SUU_CHECK_MSG(epfd >= 0,
                   "epoll_create1 failed: " << std::strerror(errno));
@@ -197,9 +197,9 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
   }
 
   void arm_idle(const std::shared_ptr<Conn>& conn) {
-    if (opt.idle_timeout_ms <= 0 || !conn->reading) return;
+    if (cfg.idle_timeout_ms <= 0 || !conn->reading) return;
     ++conn->idle_gen;
-    timers.emplace(now_ms() + opt.idle_timeout_ms,
+    timers.emplace(now_ms() + cfg.idle_timeout_ms,
                    Timer{conn, conn->idle_gen, TimerKind::kIdle});
   }
 
@@ -276,13 +276,12 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
 
   /// Answer an unframable over-long line once and abandon the connection:
   /// stop reading, drain what is queued, then close. In-flight requests
-  /// are not cancelled — their replies still go out, exactly like the
-  /// threaded serve_fd's drain-then-return.
+  /// are not cancelled: their replies still go out before the close.
   void overlong(const std::shared_ptr<Conn>& conn) {
     enqueue(conn, make_error_response(
                       Json(nullptr), error_code::kParseError,
                       "request line exceeds " +
-                          std::to_string(opt.max_line_bytes) + " bytes"));
+                          std::to_string(cfg.max_line_bytes) + " bytes"));
     conn->inbuf.clear();
     stop_reading(conn);
     flush(conn);
@@ -310,7 +309,7 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
               conn->out_bytes += resp.size();
               impl->queue_gauge.add(static_cast<std::int64_t>(resp.size()));
               conn->outq.push_back(std::move(resp));
-              if (conn->out_bytes > impl->opt.max_outbound_bytes) {
+              if (conn->out_bytes > impl->cfg.max_outbound_bytes) {
                 conn->doomed = true;
               }
               enqueued = true;
@@ -436,7 +435,7 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
         if (!conn->inbuf.empty()) {
           std::string line;
           line.swap(conn->inbuf);
-          if (line.size() > opt.max_line_bytes) {
+          if (line.size() > cfg.max_line_bytes) {
             overlong(conn);
             return;
           }
@@ -456,7 +455,7 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
         // The cap applies to every extracted line, not just the residual
         // buffer: a complete over-long line inside one read chunk must be
         // rejected at the transport, not handed to the engine.
-        if (line.size() > opt.max_line_bytes) {
+        if (line.size() > cfg.max_line_bytes) {
           overlong(conn);
           return;
         }
@@ -464,7 +463,7 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
         submit_line(conn, std::move(line));
       }
       conn->inbuf.erase(0, start);
-      if (conn->inbuf.size() > opt.max_line_bytes) {
+      if (conn->inbuf.size() > cfg.max_line_bytes) {
         overlong(conn);
         return;
       }
@@ -486,7 +485,7 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
       if (t.idle_gen != conn->idle_gen || !conn->reading) continue;
       // A silent peer past the idle budget is indistinguishable from a
       // half-open connection: stop reading, drain, close — without
-      // cancelling in-flight work, matching the threaded serve_fd.
+      // cancelling in-flight work.
       stop_reading(conn);
       try_close_if_drained(conn);
     }
@@ -580,8 +579,8 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
   }
 };
 
-EventLoop::EventLoop(Engine& engine, const Options& opt, const FaultSpec& fault)
-    : impl_(std::make_shared<Impl>(engine, opt, fault)) {}
+EventLoop::EventLoop(Engine& engine, const FaultSpec& fault)
+    : impl_(std::make_shared<Impl>(engine, fault)) {}
 
 EventLoop::~EventLoop() = default;
 

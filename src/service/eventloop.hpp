@@ -1,14 +1,13 @@
-// suu::serve epoll event loop — multiplexed serving for massive connection
-// counts.
+// suu::serve epoll event loop — the one socket transport.
 //
-// The thread-per-connection TcpServer capped concurrent sessions at thread
-// scalability; this loop serves thousands of connections from ONE thread.
-// All sockets are nonblocking and registered with a single epoll set:
+// Every socket the service serves, TCP (TcpServer) or an already-connected
+// fd (add_connection), is multiplexed onto ONE thread. All sockets are
+// nonblocking and registered with a single epoll set:
 //
 //   * accept    — listener fds live in the same epoll set; accepted
 //                 connections enter an engine client scope
-//                 (Engine::begin_client) exactly like the threaded
-//                 transports, so dropped peers release their session pins.
+//                 (Engine::begin_client) exactly like serve_stream, so
+//                 dropped peers release their session pins.
 //   * read      — complete request lines are submitted to the Engine;
 //                 request execution stays on the engine's worker pool, the
 //                 loop never computes. Per-line and residual max_line_bytes
@@ -35,8 +34,12 @@
 //                 epoll_wait timeout; no per-connection poll() thread
 //                 exists anywhere.
 //
+// Limits come from the engine's Config: max_line_bytes (per-line and
+// residual cap), max_outbound_bytes (slow-reader bound) and
+// idle_timeout_ms (0 disables the idle timer).
+//
 // Determinism invariants are inherited, not re-proved: the loop feeds
-// Engine::submit the same lines a threaded transport would and writes reply
+// Engine::submit the same lines serve_stream would and writes reply
 // lines in completion order per connection, so responses stay
 // byte-identical to Engine::handle at any worker count (pinned by the
 // transport tests and bench_service_concurrency's reply validation).
@@ -56,7 +59,6 @@
 // connection count and the total queued-but-unwritten reply bytes.
 #pragma once
 
-#include <cstddef>
 #include <memory>
 
 #include "service/engine.hpp"
@@ -66,20 +68,9 @@ namespace suu::service {
 
 class EventLoop {
  public:
-  struct Options {
-    /// Per-line request cap (and residual-buffer cap); over-long input gets
-    /// one typed parse_error reply and the connection is abandoned.
-    std::size_t max_line_bytes = std::size_t{4} << 20;
-    /// Slow-reader bound: a connection whose queued-but-unwritten reply
-    /// bytes exceed this is disconnected and its streams cancelled.
-    std::size_t max_outbound_bytes = std::size_t{8} << 20;
-    /// Read-idle timeout in ms; 0 disables. An idle connection stops
-    /// reading, drains its outbound queue, and is closed.
-    int idle_timeout_ms = 0;
-  };
-
-  /// `fault` applies with fresh per-connection state to every connection.
-  EventLoop(Engine& engine, const Options& opt, const FaultSpec& fault = {});
+  /// Limits come from engine.config(). `fault` applies with fresh
+  /// per-connection state to every connection.
+  explicit EventLoop(Engine& engine, const FaultSpec& fault = {});
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;

@@ -2,13 +2,11 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <istream>
@@ -23,9 +21,9 @@
 namespace suu::service {
 namespace {
 
-/// Outstanding-reply tracker for one transport loop: every submit is
-/// balanced by a done() inside its reply callback, and the loop drains to
-/// zero before its locals go out of scope.
+/// Outstanding-reply tracker for serve_stream: every submit is balanced by
+/// a done() inside its reply callback, and the loop drains to zero before
+/// its locals go out of scope.
 struct Outstanding {
   std::mutex mu;
   std::condition_variable cv;
@@ -83,134 +81,6 @@ void serve_stream(Engine& engine, std::istream& in, std::ostream& out) {
   engine.end_client(client);
 }
 
-void serve_fd(Engine& engine, int fd, const FaultSpec& fault) {
-  std::mutex write_mu;
-  Outstanding pending;
-  FaultInjector injector(fault);
-  const std::uint64_t client = engine.begin_client();
-
-  auto write_line = [&](const std::string& resp) {
-    std::lock_guard<std::mutex> lock(write_mu);
-    std::string msg = resp;
-    msg.push_back('\n');
-    // The fault injector decides how much of this line actually reaches
-    // the peer and what happens to the connection afterwards; with no
-    // faults configured it always says "all of it, nothing".
-    const FaultInjector::Action act = injector.next(msg);
-    if (act.delay_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(act.delay_ms));
-    }
-    std::size_t off = 0;
-    while (off < act.write_bytes) {
-      // MSG_NOSIGNAL: a peer that closed mid-reply must surface as EPIPE,
-      // not a process-killing SIGPIPE. ENOTSOCK falls back to write() for
-      // pipe fds (suu_serve ignores SIGPIPE for that path).
-      ssize_t w = ::send(fd, msg.data() + off, act.write_bytes - off,
-                         MSG_NOSIGNAL);
-      if (w < 0 && errno == ENOTSOCK) {
-        w = ::write(fd, msg.data() + off, act.write_bytes - off);
-      }
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        return;  // peer gone; nothing useful left to do with this reply
-      }
-      off += static_cast<std::size_t>(w);
-    }
-    if (act.exit_after) ::_exit(42);  // crash simulation, mid-stream
-    if (act.close_after) ::shutdown(fd, SHUT_RDWR);  // wakes the read loop
-  };
-
-  // An unframed over-long line cannot be resynchronized: answer once and
-  // abandon the connection.
-  auto reject_overlong = [&] {
-    write_line(make_error_response(
-        Json(nullptr), error_code::kParseError,
-        "request line exceeds " +
-            std::to_string(engine.config().max_line_bytes) + " bytes"));
-  };
-
-  const int idle_ms = engine.config().idle_timeout_ms;
-  std::string buf;
-  char chunk[4096];
-  bool abandoned = false;
-  while (!abandoned) {
-    if (idle_ms > 0) {
-      pollfd pfd{};
-      pfd.fd = fd;
-      pfd.events = POLLIN;
-      const int pr = ::poll(&pfd, 1, idle_ms);
-      if (pr < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      // A silent peer past the idle budget is indistinguishable from a
-      // half-open connection: abandon it rather than pin this thread on a
-      // read that may never return. (POLLHUP/POLLERR fall through to the
-      // read below, which reports EOF/error.)
-      if (pr == 0) break;
-    }
-    const ssize_t r = ::read(fd, chunk, sizeof chunk);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (r == 0) {
-      // Clean EOF. A final line that arrived without its trailing newline
-      // is still a request — serve_stream's getline submits it, and the
-      // fd transport must agree.
-      if (!buf.empty()) {
-        if (buf.size() > engine.config().max_line_bytes) {
-          reject_overlong();
-        } else if (normalize_line(buf)) {
-          pending.add();
-          engine.submit(
-              std::move(buf),
-              [&](std::string&& resp, bool last) {
-                write_line(resp);
-                if (last) pending.done();
-              },
-              client);
-        }
-      }
-      break;
-    }
-    buf.append(chunk, static_cast<std::size_t>(r));
-    std::size_t start = 0;
-    for (;;) {
-      const std::size_t nl = buf.find('\n', start);
-      if (nl == std::string::npos) break;
-      std::string line = buf.substr(start, nl - start);
-      start = nl + 1;
-      // The cap applies to every extracted line, not just the residual
-      // buffer: a complete over-long line inside one read chunk must be
-      // rejected at the transport, never handed to the engine.
-      if (line.size() > engine.config().max_line_bytes) {
-        reject_overlong();
-        abandoned = true;
-        break;
-      }
-      if (!normalize_line(line)) continue;
-      pending.add();
-      engine.submit(
-          std::move(line),
-          [&](std::string&& resp, bool last) {
-            write_line(resp);
-            if (last) pending.done();
-          },
-          client);
-    }
-    if (abandoned) break;
-    buf.erase(0, start);
-    if (buf.size() > engine.config().max_line_bytes) {
-      reject_overlong();
-      abandoned = true;
-    }
-    if (engine.stopping()) break;
-  }
-  pending.drain();
-  engine.end_client(client);
-}
-
 TcpServer::TcpServer(Engine& engine, std::uint16_t port,
                      const FaultSpec& fault)
     : engine_(engine), fault_(fault) {
@@ -248,11 +118,7 @@ TcpServer::~TcpServer() {
 }
 
 void TcpServer::run() {
-  EventLoop::Options opt;
-  opt.max_line_bytes = engine_.config().max_line_bytes;
-  opt.max_outbound_bytes = engine_.config().max_outbound_bytes;
-  opt.idle_timeout_ms = engine_.config().idle_timeout_ms;
-  EventLoop loop(engine_, opt, fault_);
+  EventLoop loop(engine_, fault_);
   loop.add_listener(listen_fd_);
   {
     std::lock_guard<std::mutex> lock(mu_);

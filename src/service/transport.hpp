@@ -1,44 +1,43 @@
 // suu::serve transports — pumping wire-protocol bytes into an Engine.
 //
-// All transports speak the same line-delimited protocol and share the same
-// shape: a read loop submits each complete line to the engine, replies are
-// written back as they complete (possibly out of request order — the id
-// field is the client's correlation handle; a streamed estimate writes
-// several seq-ordered lines for one id, interleavable with other replies),
-// and the loop drains every outstanding reply before returning so no
-// callback can outlive its transport state.
+// Both transports speak the same line-delimited protocol: each complete
+// line is submitted to the engine, replies are written back as they
+// complete (possibly out of request order — the id field is the client's
+// correlation handle; a streamed estimate writes several seq-ordered lines
+// for one id, interleavable with other replies), and every outstanding
+// reply is drained before the transport lets go of its state, so no
+// callback can outlive it.
 //
 //   serve_stream — std::istream/std::ostream pair; stdio mode and
 //                  in-memory tests.
-//   serve_fd     — a connected file descriptor (socketpair, TCP socket);
-//                  one blocking reader thread per fd.
 //   TcpServer    — loopback-only listener; every accepted connection is
 //                  multiplexed onto one epoll EventLoop
 //                  (service/eventloop.hpp), so concurrent session count is
-//                  bounded by fds, not threads.
+//                  bounded by fds, not threads. Any other connected socket
+//                  (a socketpair, an inherited fd) is served by
+//                  EventLoop::add_connection.
 //
-// Session hygiene: each transport loop runs inside an engine client scope
-// (Engine::begin_client/end_client), so instance handles opened over a
-// connection are released — and their PrecomputeCache pins dropped — when
-// the connection ends for ANY reason: clean EOF, write error, over-long
-// line, or idle timeout. A peer that vanishes without close_instance
-// cannot leak pinned cache entries.
+// Session hygiene: each connection runs inside an engine client scope
+// (Engine::begin_client/end_client), so instance handles opened over it
+// are released — and their PrecomputeCache pins dropped — when the
+// connection ends for ANY reason: clean EOF, write error, over-long line,
+// or idle timeout. A peer that vanishes without close_instance cannot
+// leak pinned cache entries.
 //
-// Liveness: with Engine::Config::idle_timeout_ms set, serve_fd polls the
-// descriptor and abandons a connection whose peer stays silent past the
-// timeout — a half-open TCP peer (pulled cable, killed process on a quiet
-// link) cannot pin a reader thread forever.
+// Limits (max_line_bytes, max_outbound_bytes, idle_timeout_ms) come from
+// the engine's Config; see service/eventloop.hpp for how the loop applies
+// them.
 //
-// Fault injection (tests and the fan-out demo only): serve_fd and
-// TcpServer accept a service::FaultSpec whose deterministic triggers
-// (delay, drop after N bytes, truncate reply line K, _exit mid-stream)
-// fire on the reply write path — see service/fault.hpp.
+// Fault injection (tests and the fan-out demo only): TcpServer accepts a
+// service::FaultSpec whose deterministic triggers (delay, drop after N
+// bytes, truncate reply line K, _exit mid-stream) fire on the reply write
+// path — see service/fault.hpp.
 //
 // Shutdown: when the engine processes a shutdown request its stopping()
-// flag flips and its shutdown hook runs. serve_stream/serve_fd stop
-// reading once stopping() is observed — but a read already blocked on an
-// idle peer only wakes when bytes or EOF arrive, so stream/fd clients are
-// expected to half-close after a shutdown request. TcpServer has a real
+// flag flips and its shutdown hook runs. serve_stream stops reading once
+// stopping() is observed — but a read already blocked on an idle input
+// only wakes when bytes or EOF arrive, so stdio clients are expected to
+// close their input after a shutdown request. TcpServer has a real
 // wakeup: its hook shuts the listener down and stops the event loop, which
 // stops reading everywhere, drains queued replies (the shutdown
 // acknowledgment included), and returns — one wire shutdown winds down the
@@ -63,16 +62,6 @@ class EventLoop;
 /// line. Drains outstanding replies before returning. Runs inside a client
 /// scope: handles opened on this stream are released when it ends.
 void serve_stream(Engine& engine, std::istream& in, std::ostream& out);
-
-/// Serve a connected, bidirectional fd until EOF/error, engine shutdown,
-/// or — when the engine's idle_timeout_ms is set — a read-idle timeout.
-/// Drains outstanding replies before returning; does not close `fd`.
-/// A line longer than the engine's max_line_bytes gets one error response,
-/// after which the connection is abandoned (resynchronizing an unframed
-/// over-long line is not possible). Handles opened over the fd are
-/// released on return. `fault` (optional) injects deterministic reply
-/// faults for failover tests.
-void serve_fd(Engine& engine, int fd, const FaultSpec& fault = {});
 
 /// Loopback (127.0.0.1) TCP listener over an Engine.
 class TcpServer {

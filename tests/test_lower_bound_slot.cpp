@@ -231,13 +231,8 @@ TEST(LowerBoundSlot, ColdChainsSolveSolvesLp2Once) {
   const core::Instance inst = core::make_chains(
       10, 3, 6, 5, core::MachineModel::uniform(0.3, 0.9), gen);
 
-  // What one LP1(J, 1/2) and one LP2 solve cost in simplex runs.
+  // What one LP2 solve costs in simplex runs.
   std::uint64_t mark = lp_solves();
-  std::vector<int> all(inst.num_jobs());
-  for (int j = 0; j < inst.num_jobs(); ++j) all[j] = j;
-  rounding::solve_lp1(inst, all, 0.5);
-  const std::uint64_t lp1_solves = lp_solves() - mark;
-  mark = lp_solves();
   rounding::solve_and_round_lp2(inst, inst.dag().chains());
   const std::uint64_t lp2_solves = lp_solves() - mark;
   ASSERT_GE(lp2_solves, 1u);
@@ -249,8 +244,8 @@ TEST(LowerBoundSlot, ColdChainsSolveSolvesLp2Once) {
       R"({"id":1,"method":"solve","params":{"instance":)" +
       quoted_payload(inst) + R"(,"solver":"suu-c","lower_bound":true}})"));
   ASSERT_TRUE(reply.find("ok")->as_bool("ok")) << reply.dump();
-  EXPECT_EQ(lp_solves() - mark, lp1_solves + lp2_solves)
-      << "the bound must reuse the prepare's LP2 optimum";
+  EXPECT_EQ(lp_solves() - mark, lp2_solves)
+      << "the bound must reuse the prepare's LP2 optimum and solve no LP1";
   api::PrecomputeCache::global().clear();
 }
 

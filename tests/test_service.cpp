@@ -1,7 +1,8 @@
 // suu::serve end-to-end coverage: the hardened JSON layer, the protocol
 // envelope, the engine's determinism / single-flight / admission-control /
-// session / streamed-shard invariants, and the stream/fd/TCP transports —
-// including the acceptance paths: wire responses byte-identical to direct
+// session / streamed-shard invariants, and the stream and event-loop
+// (socketpair, TCP) transports — including the acceptance paths: wire
+// responses byte-identical to direct
 // api calls, concatenated shard envelopes byte-identical to
 // ExperimentRunner::print_json over the canonical shard grid at any worker
 // count, handle lifecycle edges (unknown/closed/expired → typed error,
@@ -11,6 +12,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -1028,10 +1030,49 @@ std::map<std::string, std::string> client_round_trip(
   return by_id;
 }
 
+/// `n` socketpair connections served by one EventLoop on its own thread.
+/// The loop owns and closes the server ends; the test owns client(i) and
+/// closes it. stop() (also run by the destructor) stops the loop and joins.
+class SocketpairLoop {
+ public:
+  explicit SocketpairLoop(Engine& engine, int n = 1) : loop_(engine) {
+    for (int i = 0; i < n; ++i) {
+      int sv[2] = {-1, -1};
+      EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0)
+          << "socketpair failed";
+      loop_.add_connection(sv[0]);
+      // A regression that never closes the server end fails the test's
+      // read-until-EOF instead of hanging the suite.
+      timeval tv{};
+      tv.tv_sec = 30;
+      ::setsockopt(sv[1], SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+      clients_.push_back(sv[1]);
+    }
+    thread_ = std::thread([this] { loop_.run(); });
+  }
+  ~SocketpairLoop() { stop(); }
+
+  SocketpairLoop(const SocketpairLoop&) = delete;
+  SocketpairLoop& operator=(const SocketpairLoop&) = delete;
+
+  int client(int i = 0) const { return clients_[i]; }
+
+  void stop() {
+    if (!thread_.joinable()) return;
+    loop_.stop();
+    thread_.join();
+  }
+
+ private:
+  EventLoop loop_;
+  std::vector<int> clients_;
+  std::thread thread_;
+};
+
 }  // namespace
 
-// The satellite acceptance: N clients issuing interleaved requests over
-// socketpairs get byte-deterministic per-request responses regardless of
+// N clients issuing interleaved requests over socketpair connections of one
+// event loop get byte-deterministic per-request responses regardless of
 // worker count.
 TEST(ServiceTransport, SocketpairResponsesAreByteDeterministicAcrossWorkerCounts) {
   constexpr int kClients = 3;
@@ -1059,30 +1100,20 @@ TEST(ServiceTransport, SocketpairResponsesAreByteDeterministicAcrossWorkerCounts
     Engine::Config cfg;
     cfg.workers = workers;
     Engine engine(cfg);
-    std::vector<std::thread> servers;
+    SocketpairLoop loop(engine, kClients);
     std::vector<std::thread> clients;
-    std::vector<int> client_fds(kClients);
     std::mutex merge_mu;
     std::map<std::string, std::string> merged;
     for (int c = 0; c < kClients; ++c) {
-      int sv[2];
-      EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0)
-          << "socketpair failed";
-      const int server_fd = sv[0];
-      client_fds[c] = sv[1];
-      servers.emplace_back([&engine, server_fd] {
-        serve_fd(engine, server_fd);
-        ::close(server_fd);
-      });
       clients.emplace_back([&, c] {
-        auto by_id = client_round_trip(client_fds[c], requests[c]);
-        ::close(client_fds[c]);
+        auto by_id = client_round_trip(loop.client(c), requests[c]);
+        ::close(loop.client(c));
         std::lock_guard<std::mutex> lock(merge_mu);
         merged.merge(by_id);
       });
     }
     for (std::thread& t : clients) t.join();
-    for (std::thread& t : servers) t.join();
+    loop.stop();
     return merged;
   };
 
@@ -1108,28 +1139,30 @@ TEST(ServiceTransport, SocketpairResponsesAreByteDeterministicAcrossWorkerCounts
   }
 }
 
+// The residual-buffer cap: an unframed over-long line (no newline yet) is
+// answered once and the connection is abandoned, without waiting for EOF.
 TEST(ServiceTransport, OverlongLineGetsErrorAndConnectionAbandoned) {
   Engine::Config cfg;
   cfg.max_line_bytes = 256;
   Engine engine(cfg);
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  std::thread server([&] {
-    serve_fd(engine, sv[0]);
-    ::close(sv[0]);
-  });
+  SocketpairLoop loop(engine);
+  const int fd = loop.client();
   const std::string huge(1024, 'x');  // no newline: unframed over-long line
-  ASSERT_EQ(::write(sv[1], huge.data(), huge.size()),
+  ASSERT_EQ(::write(fd, huge.data(), huge.size()),
             static_cast<ssize_t>(huge.size()));
   std::string received;
   char buf[512];
-  for (;;) {
-    const ssize_t r = ::read(sv[1], buf, sizeof buf);
+  for (;;) {  // the error reply, then EOF once the loop closes its end
+    const ssize_t r = ::read(fd, buf, sizeof buf);
+    if (r < 0 && errno == EINTR) continue;
     if (r <= 0) break;
     received.append(buf, static_cast<std::size_t>(r));
   }
-  server.join();
-  ::close(sv[1]);
+  loop.stop();
+  ::close(fd);
+  ASSERT_NE(received.find('\n'), std::string::npos);
+  EXPECT_EQ(received.find('\n'), received.size() - 1) << received;
+  EXPECT_EQ(engine.stats().received, 0u);
   const Json resp = Json::parse(received.substr(0, received.find('\n')));
   EXPECT_FALSE(resp.find("ok")->as_bool("ok"));
   EXPECT_EQ(resp.find("error")->find("code")->as_string("code"),
@@ -1314,60 +1347,21 @@ TEST(ServiceFault, InjectorTruncatesClosesAndExits) {
   }
 }
 
-TEST(ServiceTransport, IdleTimeoutAbandonsSilentPeer) {
-  Engine::Config cfg;
-  cfg.idle_timeout_ms = 50;
-  Engine engine(cfg);
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  std::thread server([&] {
-    serve_fd(engine, sv[0]);
-    ::close(sv[0]);
-  });
-  // One request proves activity resets the clock; then go silent. A
-  // half-open peer used to park the reader forever — now the server must
-  // hang up on its own.
-  const std::string req =
-      R"({"id":1,"method":"list_solvers"})" "\n";
-  ASSERT_EQ(::write(sv[1], req.data(), req.size()),
-            static_cast<ssize_t>(req.size()));
-  const auto t0 = std::chrono::steady_clock::now();
-  std::string received;
-  char buf[4096];
-  for (;;) {  // reply, then EOF once the server times us out
-    const ssize_t r = ::read(sv[1], buf, sizeof buf);
-    if (r <= 0) break;
-    received.append(buf, static_cast<std::size_t>(r));
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  server.join();
-  ::close(sv[1]);
-  EXPECT_TRUE(Json::parse(received.substr(0, received.find('\n')))
-                  .find("ok")
-                  ->as_bool("ok"));
-  EXPECT_GE(elapsed, std::chrono::milliseconds(40));
-  EXPECT_LT(elapsed, std::chrono::seconds(10));
-}
-
 TEST(ServiceTransport, DroppedConnectionReleasesPinsAndCountsSession) {
   const std::size_t base_pinned = api::PrecomputeCache::global().stats().pinned;
   Engine engine;
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  std::thread server([&] {
-    serve_fd(engine, sv[0]);
-    ::close(sv[0]);
-  });
+  SocketpairLoop loop(engine);
+  const int fd = loop.client();
 
   // Sequential round-trips so the pin can be observed while the
   // connection is still up. Fresh engine: the first handle is 1.
   const auto round_trip = [&](const std::string& req) {
     const std::string framed = req + "\n";
-    EXPECT_EQ(::write(sv[1], framed.data(), framed.size()),
+    EXPECT_EQ(::write(fd, framed.data(), framed.size()),
               static_cast<ssize_t>(framed.size()));
     std::string line;
     char c = 0;
-    while (::read(sv[1], &c, 1) == 1 && c != '\n') line.push_back(c);
+    while (::read(fd, &c, 1) == 1 && c != '\n') line.push_back(c);
     return line;
   };
   const std::string inst = quoted(payload(independent_instance(6, 2, 91)));
@@ -1382,10 +1376,17 @@ TEST(ServiceTransport, DroppedConnectionReleasesPinsAndCountsSession) {
       << "an estimate through an open handle must pin its cache entry";
 
   // Drop the connection without close_instance — the session teardown
-  // must release the pin, not leak it until engine destruction.
-  ::close(sv[1]);
-  server.join();
+  // must release the pin, not leak it until engine destruction. Wait for
+  // the loop to see the drop itself: stop() would also end the session.
+  ::close(fd);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (api::PrecomputeCache::global().stats().pinned != base_pinned &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
   EXPECT_EQ(api::PrecomputeCache::global().stats().pinned, base_pinned);
+  loop.stop();
   const Json stats =
       Json::parse(engine.handle(R"({"id":"s","method":"stats"})"));
   EXPECT_EQ(stats.find("result")
@@ -1437,9 +1438,8 @@ int connect_loopback(std::uint16_t port) {
 }  // namespace
 
 // Bugfix regression: a final request line that arrives without a trailing
-// newline at EOF is still a request, on every transport. serve_fd used to
-// drop it (its read loop only submitted up to the last '\n') while
-// serve_stream's getline served it — stdio, fd, and TCP must agree.
+// newline at EOF is still a request, on both transports. serve_stream's
+// getline serves it, and the event loop must agree.
 TEST(ServiceTransport, FinalLineWithoutNewlineAtEofIsServedOnAllTransports) {
   const std::string req = R"({"id":"last","method":"list_solvers"})";
   Engine reference;
@@ -1451,19 +1451,6 @@ TEST(ServiceTransport, FinalLineWithoutNewlineAtEofIsServedOnAllTransports) {
     std::ostringstream out;
     serve_stream(engine, in, out);
     EXPECT_EQ(out.str(), want);
-  }
-  {  // fd transport
-    Engine engine;
-    int sv[2];
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-    std::thread server([&] {
-      serve_fd(engine, sv[0]);
-      ::close(sv[0]);
-    });
-    const std::string received = raw_round_trip(sv[1], req);
-    server.join();
-    ::close(sv[1]);
-    EXPECT_EQ(received, want);
   }
   {  // TCP (epoll event loop) transport
     Engine engine;
@@ -1487,41 +1474,26 @@ TEST(ServiceTransport, CompleteOverlongLineInOneChunkIsRejectedAtTransport) {
   bytes += "\n";  // complete, newline-framed, over the 256-byte cap
   bytes += R"({"id":"after","method":"list_solvers"})" "\n";
 
-  for (const bool tcp : {false, true}) {
-    Engine::Config cfg;
-    cfg.max_line_bytes = 256;
-    Engine engine(cfg);
-    std::string received;
-    if (!tcp) {
-      int sv[2];
-      ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-      std::thread server([&] {
-        serve_fd(engine, sv[0]);
-        ::close(sv[0]);
-      });
-      received = raw_round_trip(sv[1], bytes);
-      server.join();
-      ::close(sv[1]);
-    } else {
-      TcpServer server(engine, 0);
-      std::thread server_thread([&] { server.run(); });
-      const int fd = connect_loopback(server.port());
-      received = raw_round_trip(fd, bytes);
-      ::close(fd);
-      server.stop();
-      server_thread.join();
-    }
-    // Exactly one reply — the typed error — then the abandoned connection
-    // closes; the request behind the over-long line is never answered.
-    ASSERT_NE(received.find('\n'), std::string::npos) << "tcp=" << tcp;
-    EXPECT_EQ(received.find('\n'), received.size() - 1) << "tcp=" << tcp;
-    const Json resp = Json::parse(received.substr(0, received.find('\n')));
-    EXPECT_FALSE(resp.find("ok")->as_bool("ok"));
-    EXPECT_EQ(resp.find("error")->find("code")->as_string("code"),
-              error_code::kParseError);
-    // The transport rejected it: nothing ever reached the engine.
-    EXPECT_EQ(engine.stats().received, 0u) << "tcp=" << tcp;
-  }
+  Engine::Config cfg;
+  cfg.max_line_bytes = 256;
+  Engine engine(cfg);
+  TcpServer server(engine, 0);
+  std::thread server_thread([&] { server.run(); });
+  const int fd = connect_loopback(server.port());
+  const std::string received = raw_round_trip(fd, bytes);
+  ::close(fd);
+  server.stop();
+  server_thread.join();
+  // Exactly one reply — the typed error — then the abandoned connection
+  // closes; the request behind the over-long line is never answered.
+  ASSERT_NE(received.find('\n'), std::string::npos);
+  EXPECT_EQ(received.find('\n'), received.size() - 1);
+  const Json resp = Json::parse(received.substr(0, received.find('\n')));
+  EXPECT_FALSE(resp.find("ok")->as_bool("ok"));
+  EXPECT_EQ(resp.find("error")->find("code")->as_string("code"),
+            error_code::kParseError);
+  // The transport rejected it: nothing ever reached the engine.
+  EXPECT_EQ(engine.stats().received, 0u);
 }
 
 // Bugfix regression: a scraper that connects but never reads must not
@@ -1614,16 +1586,10 @@ TEST(ServiceTransport, ClientDropMidStreamCancelsRemainingShards) {
 TEST(ServiceTransport, SlowReaderExceedingOutboundBoundIsDropped) {
   Engine::Config cfg;
   cfg.workers = 2;
+  cfg.max_outbound_bytes = 2048;  // tiny bound; one samples reply blows it
   Engine engine(cfg);
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-
-  EventLoop::Options opt;
-  opt.max_line_bytes = engine.config().max_line_bytes;
-  opt.max_outbound_bytes = 2048;  // tiny bound; one samples reply blows it
-  EventLoop loop(engine, opt);
-  loop.add_connection(sv[0]);
-  std::thread loop_thread([&] { loop.run(); });
+  SocketpairLoop loop(engine);
+  const int fd = loop.client();
 
   // Each reply carries 2000 raw makespan samples (17-digit doubles): tens
   // of kilobytes against a 2 KiB bound. The client never reads.
@@ -1635,7 +1601,7 @@ TEST(ServiceTransport, SlowReaderExceedingOutboundBoundIsDropped) {
              R"(,"replications":2000,"shards":1,"shard":0,"samples":true}})"
              "\n";
   }
-  ASSERT_EQ(::write(sv[1], batch.data(), batch.size()),
+  ASSERT_EQ(::write(fd, batch.data(), batch.size()),
             static_cast<ssize_t>(batch.size()));
 
   const auto deadline =
@@ -1647,8 +1613,7 @@ TEST(ServiceTransport, SlowReaderExceedingOutboundBoundIsDropped) {
   EXPECT_EQ(engine.stats().slow_reader_drops, 1u);
 
   loop.stop();
-  loop_thread.join();
-  ::close(sv[1]);
+  ::close(fd);
   engine.drain();
   EXPECT_NE(engine.metrics_text().find("suu_engine_slow_reader_drops_total 1"),
             std::string::npos);
